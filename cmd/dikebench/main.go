@@ -8,7 +8,8 @@
 //	dikebench -list                    # list experiment ids
 //
 // Output is plain text tables; add -csv DIR to also dump each table as a
-// CSV file under DIR.
+// CSV file under DIR. -cpuprofile FILE and -memprofile FILE write
+// runtime/pprof profiles of the whole command.
 package main
 
 import (
@@ -34,7 +35,7 @@ func main() {
 		quickFlag  = flag.Bool("quick", false, "shrink everything for a fast smoke run")
 		csvFlag    = flag.String("csv", "", "directory to write per-table CSV files into")
 		benchOut   = flag.String("bench-out", "BENCH_scale.json", "file the scale experiment writes raw measurements to")
-		benchBase  = flag.String("bench-baseline", "", "baseline BENCH_scale.json to compare against; exit 1 if ns/quantum regresses >25%")
+		benchBase  = flag.String("bench-baseline", "", "baseline BENCH_scale.json to compare against; exit 1 if ns/quantum regresses >25% or allocs/quantum >10%")
 		sloOut     = flag.String("slo-out", "BENCH_slo.json", "file the slo experiment writes raw measurements to")
 		sloBase    = flag.String("slo-baseline", "", "baseline BENCH_slo.json to compare against; exit 1 if worst-tenant p99 regresses >25%")
 		tourOut    = flag.String("tournament-out", "BENCH_tournament.json", "file the tournament experiment writes its leaderboard to")
@@ -44,8 +45,13 @@ func main() {
 		tourServer = flag.String("tournament-server", "", "dikeserved/dikecoord base URL to submit tournament cells to instead of simulating locally")
 		energyOut  = flag.String("energy-out", "BENCH_energy.json", "file the energy experiment writes raw measurements to")
 		energyBase = flag.String("energy-baseline", "", "baseline BENCH_energy.json; exit 1 if any cell's EDP regresses >10% or the fairness governor fails its gate")
+		profiling  = cli.ProfileFlags()
 	)
 	flag.Parse()
+	if err := profiling.Start(); err != nil {
+		cli.Fatal(err)
+	}
+	defer profiling.Stop()
 
 	if *listFlag {
 		for _, e := range harness.Experiments() {
@@ -199,7 +205,8 @@ func checkSLOBaseline(current, baseline string) error {
 
 // checkBenchBaseline compares the scale experiment's fresh measurements
 // against a committed baseline and fails on a >25% per-policy decision
-// cost regression at any machine point both files measured.
+// cost regression, or allocations per quantum above the baseline by more
+// than harness.AllocsTolerance, at any machine point both files measured.
 func checkBenchBaseline(current, baseline string) error {
 	cur, err := harness.LoadBenchScale(current)
 	if err != nil {
@@ -211,13 +218,13 @@ func checkBenchBaseline(current, baseline string) error {
 	}
 	regressions := harness.CompareBenchScale(cur, base, 0.25)
 	if len(regressions) == 0 {
-		fmt.Printf("decision cost within 25%% of baseline %s\n", baseline)
+		fmt.Printf("decision cost within 25%% and allocations within %.0f%% of baseline %s\n", 100*harness.AllocsTolerance, baseline)
 		return nil
 	}
 	for _, r := range regressions {
-		fmt.Fprintln(os.Stderr, "decision cost regression: "+r)
+		fmt.Fprintln(os.Stderr, "scale regression: "+r)
 	}
-	return fmt.Errorf("%d decision-cost regression(s) vs %s", len(regressions), baseline)
+	return fmt.Errorf("%d scale regression(s) vs %s", len(regressions), baseline)
 }
 
 // writeCSVs dumps each table of rep as DIR/<exp>_<n>.csv.

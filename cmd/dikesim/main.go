@@ -30,6 +30,9 @@
 // deterministic decision digest (per-quantum fairness numbers in exact
 // round-trip form), so `dikesim -record` and `dikesim -replay` outputs
 // can be compared byte-for-byte.
+//
+// Profiling: -cpuprofile FILE and -memprofile FILE write runtime/pprof
+// profiles of the command (read them with `go tool pprof`).
 package main
 
 import (
@@ -74,8 +77,13 @@ func main() {
 		govFlag    = flag.String("governor", "", "power governor to interpose: "+strings.Join(power.Names(), " | "))
 		capFlag    = flag.Float64("power-cap", 0, "per-socket watt budget for the ondemand/fairness governors")
 		listFlag   = flag.Bool("list-policies", false, "list registered scheduling policies and power governors, then exit")
+		profiling  = cli.ProfileFlags()
 	)
 	flag.Parse()
+	if err := profiling.Start(); err != nil {
+		cli.Fatal(err)
+	}
+	defer profiling.Stop()
 
 	if *listFlag {
 		for _, p := range harness.Policies() {

@@ -31,38 +31,47 @@ type CoreCounters struct {
 	BusyTime     float64 // ms with at least one unfinished thread resident
 }
 
-// File holds all counters for a machine. The zero value is unusable;
-// construct with NewFile.
+// File holds all counters for a machine. Per-thread blocks sit in a
+// table indexed by thread id, so reading a thread's counters is an index,
+// not a hash lookup; the machine additionally keeps each thread's block
+// pointer in its own per-thread slot, so the tick loop never consults the
+// table at all. The zero value is unusable; construct with NewFile.
 type File struct {
-	threads map[int]*ThreadCounters
+	threads []*ThreadCounters // index = thread id; nil = not registered
 	cores   []CoreCounters
 }
 
 // NewFile returns a counter file for nCores logical cores.
 func NewFile(nCores int) *File {
-	return &File{
-		threads: make(map[int]*ThreadCounters),
-		cores:   make([]CoreCounters, nCores),
-	}
+	return &File{cores: make([]CoreCounters, nCores)}
 }
 
-// AddThread registers a thread id. It panics on duplicates: thread ids are
+// AddThread registers a thread id and returns its counter block, which
+// stays valid (and is the same block MutThread returns) for the file's
+// lifetime. It panics on negative or duplicate ids: thread ids are
 // assigned once by the machine and a collision is a programming error.
-func (f *File) AddThread(tid int) {
-	if _, ok := f.threads[tid]; ok {
+func (f *File) AddThread(tid int) *ThreadCounters {
+	if tid < 0 {
+		panic(fmt.Sprintf("counters: negative thread id %d", tid))
+	}
+	if tid < len(f.threads) && f.threads[tid] != nil {
 		panic(fmt.Sprintf("counters: duplicate thread %d", tid))
 	}
-	f.threads[tid] = &ThreadCounters{}
+	if tid >= len(f.threads) {
+		f.threads = append(f.threads, make([]*ThreadCounters, tid+1-len(f.threads))...)
+	}
+	tc := &ThreadCounters{}
+	f.threads[tid] = tc
+	return tc
 }
 
 // MutThread returns the mutable counter block for tid, for the machine's
 // use only. It panics on unknown ids.
 func (f *File) MutThread(tid int) *ThreadCounters {
-	tc, ok := f.threads[tid]
-	if !ok {
+	if tid < 0 || tid >= len(f.threads) || f.threads[tid] == nil {
 		panic(fmt.Sprintf("counters: unknown thread %d", tid))
 	}
-	return tc
+	return f.threads[tid]
 }
 
 // MutCore returns the mutable counter block for core c.
@@ -77,11 +86,13 @@ func (f *File) Core(c int) CoreCounters { return f.cores[c] }
 // NumCores returns the number of logical cores tracked.
 func (f *File) NumCores() int { return len(f.cores) }
 
-// ThreadIDs returns the registered thread ids in unspecified order.
+// ThreadIDs returns the registered thread ids in ascending order.
 func (f *File) ThreadIDs() []int {
-	ids := make([]int, 0, len(f.threads))
-	for id := range f.threads {
-		ids = append(ids, id)
+	var ids []int
+	for id, tc := range f.threads {
+		if tc != nil {
+			ids = append(ids, id)
+		}
 	}
 	return ids
 }
@@ -141,7 +152,12 @@ func (d ThreadDelta) MissRatio() float64 {
 // DiffThread returns the delta between a previous snapshot and the current
 // counters for tid over interval ms.
 func (f *File) DiffThread(tid int, prev ThreadCounters, interval float64) ThreadDelta {
-	cur := f.Thread(tid)
+	return Diff(f.Thread(tid), prev, interval)
+}
+
+// Diff returns the delta between two snapshots of one thread's counters
+// over interval ms.
+func Diff(cur, prev ThreadCounters, interval float64) ThreadDelta {
 	return ThreadDelta{
 		Interval:     interval,
 		Work:         cur.Work - prev.Work,

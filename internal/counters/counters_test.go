@@ -42,6 +42,43 @@ func TestFileDuplicatePanics(t *testing.T) {
 	f.AddThread(1)
 }
 
+// TestFileNegativeThreadPanics: thread ids index the file's table, so a
+// negative id is rejected at registration and never resolves.
+func TestFileNegativeThreadPanics(t *testing.T) {
+	f := NewFile(1)
+	for name, op := range map[string]func(){
+		"AddThread": func() { f.AddThread(-1) },
+		"MutThread": func() { f.MutThread(-1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(-1) did not panic", name)
+				}
+			}()
+			op()
+		}()
+	}
+}
+
+// TestFileSlotIsTheBlock: the block AddThread returns is the one the file
+// serves, so a holder of the slot and a reader by id see the same counts.
+func TestFileSlotIsTheBlock(t *testing.T) {
+	f := NewFile(1)
+	slot := f.AddThread(5)
+	f.AddThread(2) // a lower id registered later must not move the block
+	slot.Work = 3
+	if f.MutThread(5) != slot || f.Thread(5).Work != 3 {
+		t.Errorf("slot and file disagree: %+v vs %+v", *slot, f.Thread(5))
+	}
+	if f.Thread(2) != (ThreadCounters{}) {
+		t.Errorf("fresh thread has counts %+v", f.Thread(2))
+	}
+	if ids := f.ThreadIDs(); len(ids) != 2 || ids[0] != 2 || ids[1] != 5 {
+		t.Errorf("ThreadIDs = %v, want [2 5]", ids)
+	}
+}
+
 func TestFileUnknownThreadPanics(t *testing.T) {
 	f := NewFile(1)
 	defer func() {

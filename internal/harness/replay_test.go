@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"strings"
@@ -146,11 +147,7 @@ func TestReplayDetectsTamperedLog(t *testing.T) {
 		if sampleSeen < 5 {
 			continue // leave the baseline and early quanta intact
 		}
-		mod := strings.ReplaceAll(ln, `"mi":`, `"mi":9`)
-		if mod != ln {
-			lines[i] = mod
-			tampered = true
-		}
+		lines[i], tampered = saturateMisses(t, ln)
 		break
 	}
 	if !tampered {
@@ -160,6 +157,30 @@ func TestReplayDetectsTamperedLog(t *testing.T) {
 	if !errors.Is(err, replay.ErrDivergence) {
 		t.Fatalf("tampered log replayed with err = %v, want divergence", err)
 	}
+}
+
+// saturateMisses prefixes a 9 to the misses element (index 4 of the
+// positional [id, w, in, ac, mi, ...] tuple) of every thread delta in a
+// recorded sample event, reporting whether any delta was changed.
+func saturateMisses(t *testing.T, line string) (string, bool) {
+	t.Helper()
+	dec := json.NewDecoder(strings.NewReader(line))
+	dec.UseNumber()
+	var ev map[string]any
+	if err := dec.Decode(&ev); err != nil {
+		t.Fatal(err)
+	}
+	s, _ := ev["s"].(map[string]any)
+	deltas, _ := s["th"].([]any)
+	for _, d := range deltas {
+		tuple := d.([]any)
+		tuple[4] = json.Number("9" + string(tuple[4].(json.Number)))
+	}
+	out, err := json.Marshal(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), len(deltas) > 0
 }
 
 // TestDigestDeterministic pins the digest format: shortest round-trip

@@ -21,10 +21,12 @@ func init() {
 const BenchScaleSchema = "dike/bench-scale/v1"
 
 // BenchScaleEntry is one (machine point, policy) measurement of the
-// scale sweep. AllocsPerQuantum and RunsPerSec are additive v1 fields:
-// heap allocations per scheduling quantum over the whole run and whole
-// simulations per wall-clock second, both measured on serial runs so
-// concurrent simulations cannot attribute each other's work.
+// scale sweep. NsPerQuantum is wall-clock time inside policy.Quantum per
+// quantum; WallMs is the whole run's wall-clock time. AllocsPerQuantum
+// and RunsPerSec are additive v1 fields: heap allocations per scheduling
+// quantum over the whole run and whole simulations per wall-clock
+// second, both measured on serial runs so concurrent simulations cannot
+// attribute each other's work.
 type BenchScaleEntry struct {
 	Point            string  `json:"point"`
 	Logical          int     `json:"logical"`
@@ -66,27 +68,38 @@ func LoadBenchScale(path string) (*BenchScale, error) {
 	return &b, nil
 }
 
+// AllocsTolerance bounds how far allocs_per_quantum may rise above the
+// baseline in CompareBenchScale. Heap allocations per quantum are fixed
+// by (spec, seed) up to runtime noise well under 1%, so the bound is
+// tight: one allocation per engine tick adds 100+ per quantum.
+const AllocsTolerance = 0.10
+
 // CompareBenchScale reports every (point, policy) present in both
 // documents whose decision cost regressed by more than tolerance
-// (0.25 = 25%). Points only one side measured (e.g. a quick run against
-// a full baseline) are skipped.
+// (0.25 = 25%) or whose allocations per quantum rose by more than
+// AllocsTolerance. Points only one side measured (e.g. a quick run
+// against a full baseline), and metrics the baseline does not record,
+// are skipped.
 func CompareBenchScale(cur, base *BenchScale, tolerance float64) []string {
 	baseline := make(map[string]BenchScaleEntry, len(base.Entries))
 	for _, e := range base.Entries {
 		baseline[e.Point+"/"+e.Policy] = e
 	}
 	var regressions []string
+	check := func(e BenchScaleEntry, metric string, got, want, tol float64) {
+		if want > 0 && got > want*(1+tol) {
+			regressions = append(regressions, fmt.Sprintf(
+				"%s/%s: %.0f %s vs baseline %.0f (+%.0f%%)",
+				e.Point, e.Policy, got, metric, want, 100*(got/want-1)))
+		}
+	}
 	for _, e := range cur.Entries {
 		b, ok := baseline[e.Point+"/"+e.Policy]
-		if !ok || b.NsPerQuantum <= 0 {
+		if !ok {
 			continue
 		}
-		if e.NsPerQuantum > b.NsPerQuantum*(1+tolerance) {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s/%s: %.0f ns/quantum vs baseline %.0f (+%.0f%%)",
-				e.Point, e.Policy, e.NsPerQuantum, b.NsPerQuantum,
-				100*(e.NsPerQuantum/b.NsPerQuantum-1)))
-		}
+		check(e, "ns/quantum", e.NsPerQuantum, b.NsPerQuantum, tolerance)
+		check(e, "allocs/quantum", e.AllocsPerQuantum, b.AllocsPerQuantum, AllocsTolerance)
 	}
 	return regressions
 }
@@ -237,7 +250,7 @@ func runScale(optsIn Options) (*Report, error) {
 				Workload: w, Policy: pol, Seed: opts.Seed, Scale: benchScale,
 				MachineConfig: &cfg,
 			}
-			out, apq, rps, err := measuredRun(context.Background(), spec)
+			out, cost, err := measuredRun(context.Background(), spec)
 			if err != nil {
 				return nil, fmt.Errorf("scale %s/%s: %w", p.name, pol, err)
 			}
@@ -249,13 +262,13 @@ func runScale(optsIn Options) (*Report, error) {
 				Point: p.name, Logical: p.logical, Sockets: p.sockets, CoreTypes: p.coreTypes,
 				Policy: pol, NsPerQuantum: nsq, Quanta: out.Decisions,
 				Fairness: out.Result.Fairness, Swaps: out.Result.Swaps,
-				WallMs:           float64(out.DecisionTime.Microseconds()) / 1000,
-				AllocsPerQuantum: apq, RunsPerSec: rps,
+				WallMs:           float64(cost.Wall.Microseconds()) / 1000,
+				AllocsPerQuantum: cost.AllocsPerQuantum, RunsPerSec: cost.RunsPerSec,
 			})
 			t.AddRow(p.name, p.logical, p.sockets, p.coreTypes, pol,
 				fmt.Sprintf("%.0f", nsq), out.Decisions,
 				fmt.Sprintf("%.4f", out.Result.Fairness), out.Result.Swaps,
-				fmt.Sprintf("%.0f", apq), fmt.Sprintf("%.2f", rps))
+				fmt.Sprintf("%.0f", cost.AllocsPerQuantum), fmt.Sprintf("%.2f", cost.RunsPerSec))
 		}
 	}
 	if opts.BenchOut != "" {

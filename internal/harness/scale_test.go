@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -50,6 +51,14 @@ func TestScaleExperimentQuick(t *testing.T) {
 		if ent.NsPerQuantum <= 0 {
 			t.Errorf("%s/%s measured %v ns/quantum", ent.Point, ent.Policy, ent.NsPerQuantum)
 		}
+		// wall_ms is the whole run: it covers the decision time and is
+		// the same measurement runs_per_sec inverts.
+		if decisionMs := ent.NsPerQuantum * float64(ent.Quanta) / 1e6; ent.WallMs < decisionMs {
+			t.Errorf("%s/%s wall_ms %v below its decision time %v ms", ent.Point, ent.Policy, ent.WallMs, decisionMs)
+		}
+		if ent.RunsPerSec <= 0 || math.Abs(ent.WallMs-1000/ent.RunsPerSec) > 0.01 {
+			t.Errorf("%s/%s wall_ms %v disagrees with runs_per_sec %v", ent.Point, ent.Policy, ent.WallMs, ent.RunsPerSec)
+		}
 	}
 	if len(seen) != wantEntries {
 		t.Errorf("duplicate (point, policy) entries: %d unique of %d", len(seen), wantEntries)
@@ -88,6 +97,30 @@ func TestCompareBenchScaleSkipsMissing(t *testing.T) {
 	regs := CompareBenchScale(cur, base, 0.25)
 	if len(regs) != 1 || !strings.Contains(regs[0], "t1-40/dike") {
 		t.Errorf("want one t1-40/dike regression, got %v", regs)
+	}
+}
+
+// TestCompareBenchScaleGatesAllocs: allocations per quantum are gated
+// with the tight AllocsTolerance independently of the padded decision
+// cost, and a baseline that does not record them gates nothing.
+func TestCompareBenchScaleGatesAllocs(t *testing.T) {
+	base := &BenchScale{Schema: BenchScaleSchema, Entries: []BenchScaleEntry{
+		{Point: "t1-40", Policy: "dike", NsPerQuantum: 1000, AllocsPerQuantum: 200},
+		{Point: "t1-40", Policy: "cfs", NsPerQuantum: 1000},
+	}}
+	within := 200 * (1 + AllocsTolerance) * 0.99
+	cur := &BenchScale{Schema: BenchScaleSchema, Entries: []BenchScaleEntry{
+		{Point: "t1-40", Policy: "dike", NsPerQuantum: 500, AllocsPerQuantum: within},
+		{Point: "t1-40", Policy: "cfs", NsPerQuantum: 500, AllocsPerQuantum: 1e6},
+	}}
+	if regs := CompareBenchScale(cur, base, 0.25); len(regs) != 0 {
+		t.Errorf("allocations within tolerance reported %v", regs)
+	}
+	// One extra allocation per 1 ms tick of a 100 ms quantum.
+	cur.Entries[0].AllocsPerQuantum = 300
+	regs := CompareBenchScale(cur, base, 0.25)
+	if len(regs) != 1 || !strings.Contains(regs[0], "t1-40/dike") || !strings.Contains(regs[0], "allocs/quantum") {
+		t.Errorf("want one t1-40/dike allocs regression, got %v", regs)
 	}
 }
 

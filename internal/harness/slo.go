@@ -184,13 +184,13 @@ func runSLO(optsIn Options) (*Report, error) {
 				Policy:  pol,
 				Seed:    opts.Seed,
 			}
-			out, apq, rps, err := measuredRun(context.Background(), spec)
+			out, cost, err := measuredRun(context.Background(), spec)
 			if err != nil {
 				return nil, fmt.Errorf("slo %.2f/%s: %w", load, pol, err)
 			}
 			e := sloEntry(load, pol, out)
-			e.AllocsPerQuantum = apq
-			e.RunsPerSec = rps
+			e.AllocsPerQuantum = cost.AllocsPerQuantum
+			e.RunsPerSec = cost.RunsPerSec
 			bench.Entries = append(bench.Entries, e)
 			t.AddRow(fmt.Sprintf("%.2f", load), pol, e.Arrivals, e.Rejected,
 				fmt.Sprintf("%.0f", e.P50Ms), fmt.Sprintf("%.0f", e.P95Ms), fmt.Sprintf("%.0f", e.P99Ms),

@@ -268,13 +268,13 @@ func (r *tournamentCellRunner) run(ctx context.Context, spec RunSpec, load float
 	// of the digest, so it runs unmeasured.
 	var m TournamentMeasure
 	if r.store == nil {
-		out, apq, rps, err := measuredRun(ctx, spec)
+		out, cost, err := measuredRun(ctx, spec)
 		if err != nil {
 			return TournamentMeasure{}, "", err
 		}
 		m = tournamentMeasure(load, spec.Policy, out)
-		m.AllocsPerQuantum = apq
-		m.RunsPerSec = rps
+		m.AllocsPerQuantum = cost.AllocsPerQuantum
+		m.RunsPerSec = cost.RunsPerSec
 		return m, digest, nil
 	}
 	out, err := Run(ctx, spec)

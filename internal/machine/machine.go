@@ -156,6 +156,11 @@ type thread struct {
 	coldHalf   float64
 	numaBoost  float64
 	barrier    *barrierGroup
+	// ctr is the thread's cumulative counter block (owned by the
+	// machine's counter file); prev is the block as of the last Sample,
+	// from which the sampler differences deltas.
+	ctr  *counters.ThreadCounters
+	prev counters.ThreadCounters
 }
 
 // barrierGroup couples threads that synchronise every `interval` work
@@ -236,8 +241,11 @@ type Machine struct {
 	dynPeak    []float64          // per-kind dynamic watts at multiplier 1, one busy lane
 	sockStatic []float64          // per-socket leakage watts (always burned)
 
-	threads map[ThreadID]*thread
-	order   []ThreadID // deterministic iteration order
+	// threads holds every thread in registration order, which is the
+	// deterministic iteration order of every per-tick fold; byID indexes
+	// the same threads by id (nil = unregistered) for the API lookups.
+	threads []*thread
+	byID    []*thread
 	groups  []*barrierGroup
 	smp     *sampler // lazily-created counter sampling stream
 
@@ -255,6 +263,12 @@ type Machine struct {
 	energyJ   float64
 	sockWatts []float64
 	sockDyn   []float64 // scratch: per-socket dynamic watts this step
+
+	// Per-tick occupancy, recounted every Step into these reused slices:
+	// unfinished threads per logical core and busy lanes per physical
+	// core (for the SMT penalty).
+	laneCount []int
+	physBusy  []int
 
 	// scratch buffers reused across Step calls to avoid per-tick allocs.
 	scratchT     []*thread
@@ -286,10 +300,9 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{
-		cfg:     cfg,
-		topo:    topo,
-		file:    counters.NewFile(topo.NumCores()),
-		threads: make(map[ThreadID]*thread),
+		cfg:  cfg,
+		topo: topo,
+		file: counters.NewFile(topo.NumCores()),
 	}
 	m.resolve()
 	return m, nil
@@ -354,10 +367,14 @@ func (m *Machine) resolve() {
 	m.coreDomain = make([]int, m.topo.NumCores())
 	m.dvfsLevel = make([]int, m.topo.NumCores())
 	m.coreMult = make([]float64, m.topo.NumCores())
+	m.laneCount = make([]int, m.topo.NumCores())
+	nPhys := 0
 	for _, c := range m.topo.Cores() {
 		m.coreDomain[c.ID] = sockDomain[c.Socket]
 		m.coreMult[c.ID] = m.nominalMult(c.Kind)
+		nPhys = max(nPhys, c.Physical+1)
 	}
+	m.physBusy = make([]int, nPhys)
 
 	// Power model: per-kind dynamic peak watts, and per-socket leakage
 	// totals (one static contribution per physical core, counted once
@@ -435,7 +452,10 @@ func (m *Machine) Counters() *counters.File { return m.file }
 // Threads must be added before the simulation starts and placed with
 // Place before the first Step.
 func (m *Machine) AddThread(id ThreadID, bench int, prog Program) error {
-	if _, ok := m.threads[id]; ok {
+	if id < 0 {
+		return fmt.Errorf("machine: negative thread id %d", id)
+	}
+	if _, ok := m.lookup(id); ok {
 		return fmt.Errorf("machine: duplicate thread %d", id)
 	}
 	if prog == nil {
@@ -444,17 +464,28 @@ func (m *Machine) AddThread(id ThreadID, bench int, prog Program) error {
 	if prog.TotalWork() <= 0 {
 		return fmt.Errorf("machine: thread %d has non-positive work", id)
 	}
-	m.threads[id] = &thread{id: id, bench: bench, prog: prog, migratedAt: -1}
-	m.order = append(m.order, id)
-	m.file.AddThread(int(id))
+	t := &thread{id: id, bench: bench, prog: prog, migratedAt: -1, ctr: m.file.AddThread(int(id))}
+	m.threads = append(m.threads, t)
+	if int(id) >= len(m.byID) {
+		m.byID = append(m.byID, make([]*thread, int(id)+1-len(m.byID))...)
+	}
+	m.byID[id] = t
 	return nil
+}
+
+// lookup returns the thread registered under id.
+func (m *Machine) lookup(id ThreadID) (*thread, bool) {
+	if id < 0 || int(id) >= len(m.byID) || m.byID[id] == nil {
+		return nil, false
+	}
+	return m.byID[id], true
 }
 
 // SetStart delays a thread's arrival: before `at` it is not alive, holds
 // no core and makes no progress. Models the paper's dynamic workloads
 // where "threads will enter and leave the systems" (§III-F).
 func (m *Machine) SetStart(id ThreadID, at sim.Time) error {
-	t, ok := m.threads[id]
+	t, ok := m.lookup(id)
 	if !ok {
 		return fmt.Errorf("machine: unknown thread %d", id)
 	}
@@ -467,7 +498,7 @@ func (m *Machine) SetStart(id ThreadID, at sim.Time) error {
 
 // StartOf returns a thread's arrival time (0 = present from the start).
 func (m *Machine) StartOf(id ThreadID) (sim.Time, error) {
-	t, ok := m.threads[id]
+	t, ok := m.lookup(id)
 	if !ok {
 		return 0, fmt.Errorf("machine: unknown thread %d", id)
 	}
@@ -485,7 +516,7 @@ func (m *Machine) AddBarrierGroup(interval float64, members []ThreadID) error {
 	}
 	g := &barrierGroup{interval: interval}
 	for _, id := range members {
-		t, ok := m.threads[id]
+		t, ok := m.lookup(id)
 		if !ok {
 			return fmt.Errorf("machine: barrier member %d not registered", id)
 		}
@@ -503,7 +534,7 @@ func (m *Machine) AddBarrierGroup(interval float64, members []ThreadID) error {
 
 // Place sets a thread's initial core without any migration penalty.
 func (m *Machine) Place(id ThreadID, core CoreID) error {
-	t, ok := m.threads[id]
+	t, ok := m.lookup(id)
 	if !ok {
 		return fmt.Errorf("machine: unknown thread %d", id)
 	}
@@ -518,7 +549,7 @@ func (m *Machine) Place(id ThreadID, core CoreID) error {
 // Migrate moves a thread to a new core, charging the migration stall and
 // cold-cache penalty. Migrating a finished thread is a no-op.
 func (m *Machine) Migrate(id ThreadID, core CoreID, now sim.Time) error {
-	t, ok := m.threads[id]
+	t, ok := m.lookup(id)
 	if !ok {
 		return fmt.Errorf("machine: unknown thread %d", id)
 	}
@@ -554,7 +585,7 @@ func (m *Machine) Migrate(id ThreadID, core CoreID, now sim.Time) error {
 	t.core = core
 	t.stallUntil = now + m.cfg.MigrationStall
 	t.migratedAt = now
-	m.file.MutThread(int(id)).Migrations++
+	t.ctr.Migrations++
 	m.migrations++
 	return nil
 }
@@ -562,11 +593,11 @@ func (m *Machine) Migrate(id ThreadID, core CoreID, now sim.Time) error {
 // Swap exchanges the cores of two threads (the paper's swap operation: a
 // pair of migrations, no third core involved). It counts as one swap.
 func (m *Machine) Swap(a, b ThreadID, now sim.Time) error {
-	ta, ok := m.threads[a]
+	ta, ok := m.lookup(a)
 	if !ok {
 		return fmt.Errorf("machine: unknown thread %d", a)
 	}
-	tb, ok := m.threads[b]
+	tb, ok := m.lookup(b)
 	if !ok {
 		return fmt.Errorf("machine: unknown thread %d", b)
 	}
@@ -601,9 +632,8 @@ func (m *Machine) CrashCount() int { return m.crashes }
 // AliveCount implements sim.LiveCounter for horizon diagnostics.
 func (m *Machine) AliveCount() int {
 	n := 0
-	for _, id := range m.order {
-		t := m.threads[id]
-		if !t.finished && t.startAt <= m.lastNow {
+	for _, t := range m.threads {
+		if t.alive(m.lastNow) {
 			n++
 		}
 	}
@@ -616,7 +646,7 @@ func (m *Machine) Utilization() float64 { return m.lastUtil }
 
 // CoreOf returns the core a thread is currently bound to.
 func (m *Machine) CoreOf(id ThreadID) (CoreID, error) {
-	t, ok := m.threads[id]
+	t, ok := m.lookup(id)
 	if !ok {
 		return 0, fmt.Errorf("machine: unknown thread %d", id)
 	}
@@ -625,7 +655,7 @@ func (m *Machine) CoreOf(id ThreadID) (CoreID, error) {
 
 // BenchOf returns the benchmark id a thread belongs to.
 func (m *Machine) BenchOf(id ThreadID) (int, error) {
-	t, ok := m.threads[id]
+	t, ok := m.lookup(id)
 	if !ok {
 		return 0, fmt.Errorf("machine: unknown thread %d", id)
 	}
@@ -634,8 +664,10 @@ func (m *Machine) BenchOf(id ThreadID) (int, error) {
 
 // Threads returns all thread ids in registration order.
 func (m *Machine) Threads() []ThreadID {
-	out := make([]ThreadID, len(m.order))
-	copy(out, m.order)
+	out := make([]ThreadID, len(m.threads))
+	for i, t := range m.threads {
+		out[i] = t.id
+	}
 	return out
 }
 
@@ -643,10 +675,9 @@ func (m *Machine) Threads() []ThreadID {
 // registration order.
 func (m *Machine) Alive() []ThreadID {
 	var out []ThreadID
-	for _, id := range m.order {
-		t := m.threads[id]
-		if !t.finished && t.startAt <= m.lastNow {
-			out = append(out, id)
+	for _, t := range m.threads {
+		if t.alive(m.lastNow) {
+			out = append(out, t.id)
 		}
 	}
 	return out
@@ -655,9 +686,9 @@ func (m *Machine) Alive() []ThreadID {
 // Pending returns the ids of threads that have not arrived yet.
 func (m *Machine) Pending() []ThreadID {
 	var out []ThreadID
-	for _, id := range m.order {
-		if t := m.threads[id]; !t.finished && t.startAt > m.lastNow {
-			out = append(out, id)
+	for _, t := range m.threads {
+		if !t.finished && t.startAt > m.lastNow {
+			out = append(out, t.id)
 		}
 	}
 	return out
@@ -665,7 +696,7 @@ func (m *Machine) Pending() []ThreadID {
 
 // Finished reports whether the thread has completed, and its finish time.
 func (m *Machine) Finished(id ThreadID) (sim.Time, bool) {
-	t, ok := m.threads[id]
+	t, ok := m.lookup(id)
 	if !ok || !t.finished {
 		return 0, false
 	}
@@ -677,7 +708,7 @@ func (m *Machine) Finished(id ThreadID) (sim.Time, bool) {
 // arrival is terminated the instant it would have entered the system, so
 // it never occupies a lane. Terminating a finished thread is a no-op.
 func (m *Machine) Terminate(id ThreadID, at sim.Time) error {
-	t, ok := m.threads[id]
+	t, ok := m.lookup(id)
 	if !ok {
 		return fmt.Errorf("machine: unknown thread %d", id)
 	}
@@ -700,8 +731,7 @@ func (m *Machine) Terminate(id ThreadID, at sim.Time) error {
 // intervals of an open-loop run.
 func (m *Machine) IdleUntil(now sim.Time) (sim.Time, bool) {
 	wake := sim.Time(-1)
-	for _, id := range m.order {
-		t := m.threads[id]
+	for _, t := range m.threads {
 		if t.finished {
 			continue
 		}
@@ -720,7 +750,7 @@ func (m *Machine) IdleUntil(now sim.Time) (sim.Time, bool) {
 
 // Progress returns the fraction of its total work a thread has completed.
 func (m *Machine) Progress(id ThreadID) float64 {
-	t, ok := m.threads[id]
+	t, ok := m.lookup(id)
 	if !ok {
 		return 0
 	}
@@ -729,13 +759,16 @@ func (m *Machine) Progress(id ThreadID) float64 {
 
 // Done implements sim.World: true once every thread has finished.
 func (m *Machine) Done() bool {
-	for _, id := range m.order {
-		if !m.threads[id].finished {
+	for _, t := range m.threads {
+		if !t.finished {
 			return false
 		}
 	}
 	return true
 }
+
+// alive reports whether t has arrived by now and not finished.
+func (t *thread) alive(now sim.Time) bool { return !t.finished && t.startAt <= now }
 
 // coldFactor returns the current cold-cache miss multiplier for t.
 func (m *Machine) coldFactor(t *thread, now sim.Time) float64 {
@@ -763,7 +796,9 @@ func (m *Machine) numaFactor(t *thread, now sim.Time) float64 {
 }
 
 // Step implements sim.World. It advances all threads by dt ms, solving
-// the contention fixed point once for the tick.
+// the contention fixed point once for the tick. The loop walks the dense
+// registration-ordered thread slice and the reused per-core scratch, so a
+// steady-state tick performs no map operation and no allocation.
 func (m *Machine) Step(now sim.Time, dt sim.Time) {
 	if dt <= 0 {
 		return
@@ -771,21 +806,20 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 	// Occupancy: unfinished threads per logical core, and busy lanes per
 	// physical core (for the SMT penalty).
 	m.lastNow = now + dt
-	laneCount := make(map[CoreID]int, len(m.order))
-	physBusy := make(map[int]int)
-	for i := range m.sockDyn {
-		m.sockDyn[i] = 0
-	}
-	for _, id := range m.order {
-		t := m.threads[id]
-		if t.finished || t.startAt > now {
+	cores := m.topo.Cores()
+	laneCount, physBusy := m.laneCount, m.physBusy
+	clear(laneCount)
+	clear(physBusy)
+	clear(m.sockDyn)
+	for _, t := range m.threads {
+		if !t.alive(now) {
 			continue
 		}
 		if !t.placed {
-			panic(fmt.Sprintf("machine: thread %d stepped before placement", id))
+			panic(fmt.Sprintf("machine: thread %d stepped before placement", t.id))
 		}
 		if laneCount[t.core] == 0 {
-			c := m.topo.Core(t.core)
+			c := &cores[t.core]
 			// Dynamic power: the first busy lane of a physical core clocks
 			// the full pipeline; further SMT lanes add only the duplicated
 			// front-end share. Scales with the cube of the DVFS multiplier
@@ -816,17 +850,16 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 	rates := m.scratchRates[:0]
 	dems := m.scratchDem[:0]
 	lats := m.scratchLat[:0]
-	for _, id := range m.order {
-		t := m.threads[id]
-		if t.finished || t.startAt > now {
+	for _, t := range m.threads {
+		if !t.alive(now) {
 			continue
 		}
 		if t.stallUntil > now {
-			m.file.MutThread(int(id)).StallTime += float64(dt)
+			t.ctr.StallTime += float64(dt)
 			continue
 		}
 		if m.disruptor != nil {
-			stalled, crashed := m.disruptor.ThreadFault(id, now)
+			stalled, crashed := m.disruptor.ThreadFault(t.id, now)
 			if crashed {
 				// Injected crash: the thread terminates with its work
 				// incomplete, freeing its core.
@@ -836,11 +869,11 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 				continue
 			}
 			if stalled {
-				m.file.MutThread(int(id)).StallTime += float64(dt)
+				t.ctr.StallTime += float64(dt)
 				continue
 			}
 		}
-		core := m.topo.Core(t.core)
+		core := &cores[t.core]
 		rate := core.Speed
 		rate *= m.coreMult[t.core] // DVFS level multiplier (exactly 1 at nominal)
 		if m.disruptor != nil {
@@ -848,7 +881,7 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 			if factor <= 0 {
 				// Core offline: the occupant cannot run until the core
 				// recovers or the scheduler moves the thread elsewhere.
-				m.file.MutThread(int(id)).StallTime += float64(dt)
+				t.ctr.StallTime += float64(dt)
 				continue
 			}
 			rate *= factor
@@ -910,7 +943,7 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 			dw = limit
 		}
 		t.work += dw
-		tc := m.file.MutThread(int(t.id))
+		tc := t.ctr
 		tc.Work += dw
 		tc.Instructions += dw * 1000
 		tc.Accesses += dw * dems[i].AccessesPerWork
@@ -1073,9 +1106,9 @@ func (m *Machine) NumMemDomains() int { return len(m.ctrls) }
 // PlacementSnapshot returns the current thread→core map, sorted by thread
 // id. Used by traces and tests.
 func (m *Machine) PlacementSnapshot() map[ThreadID]CoreID {
-	out := make(map[ThreadID]CoreID, len(m.order))
-	for _, id := range m.order {
-		out[id] = m.threads[id].core
+	out := make(map[ThreadID]CoreID, len(m.threads))
+	for _, t := range m.threads {
+		out[t.id] = t.core
 	}
 	return out
 }
@@ -1084,10 +1117,9 @@ func (m *Machine) PlacementSnapshot() map[ThreadID]CoreID {
 // ascending thread-id order.
 func (m *Machine) ThreadsOn(c CoreID) []ThreadID {
 	var out []ThreadID
-	for _, id := range m.order {
-		t := m.threads[id]
-		if !t.finished && t.startAt <= m.lastNow && t.core == c {
-			out = append(out, id)
+	for _, t := range m.threads {
+		if t.alive(m.lastNow) && t.core == c {
+			out = append(out, t.id)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

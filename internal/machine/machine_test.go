@@ -217,7 +217,7 @@ func TestColdCachePenaltyDecays(t *testing.T) {
 	fast := m.Topology().FastCores()[0]
 	slow := m.Topology().SlowCores()[0]
 	place(t, m, 0, 0, 1e6, Demand{AccessesPerWork: 10, MissRatio: 0.4}, fast)
-	th := m.threads[0]
+	th := m.byID[0]
 	if m.coldFactor(th, 0) != 1 {
 		t.Error("unmigrated thread has cold penalty")
 	}
@@ -245,18 +245,18 @@ func TestLocalVsRemoteMigrationPenalty(t *testing.T) {
 	place(t, m, 1, 0, 1e6, Demand{AccessesPerWork: 10, MissRatio: 0.4}, fast[2])
 	// Cross-socket move: big penalty plus NUMA latency factor.
 	m.Migrate(0, slow[0], 0)
-	if m.coldFactor(m.threads[0], 0) != m.cfg.ColdMissFactor {
+	if m.coldFactor(m.byID[0], 0) != m.cfg.ColdMissFactor {
 		t.Error("cross-socket move did not use remote penalty")
 	}
-	if m.numaFactor(m.threads[0], 0) != m.cfg.RemoteLatencyFactor {
+	if m.numaFactor(m.byID[0], 0) != m.cfg.RemoteLatencyFactor {
 		t.Error("cross-socket move did not set NUMA factor")
 	}
 	// Same-socket move: small penalty, no NUMA factor.
 	m.Migrate(1, fast[4], 0)
-	if m.coldFactor(m.threads[1], 0) != m.cfg.LocalColdFactor {
+	if m.coldFactor(m.byID[1], 0) != m.cfg.LocalColdFactor {
 		t.Error("local move did not use local penalty")
 	}
-	if m.numaFactor(m.threads[1], 0) != 1 {
+	if m.numaFactor(m.byID[1], 0) != 1 {
 		t.Error("local move set a NUMA factor")
 	}
 }
@@ -366,6 +366,12 @@ func TestAddThreadValidation(t *testing.T) {
 	}
 	if err := m.Place(99, 0); err == nil {
 		t.Error("unknown thread accepted")
+	}
+	if err := m.AddThread(-1, 0, ConstProgram{Work: 10}); err == nil {
+		t.Error("negative thread id accepted")
+	}
+	if _, err := m.CoreOf(-1); err == nil {
+		t.Error("negative thread id resolved")
 	}
 }
 

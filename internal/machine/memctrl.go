@@ -87,6 +87,12 @@ type contentionSolver struct {
 	memoOut     []float64
 	memoOffered float64
 	memoOK      bool
+
+	// Per-call scratch: each thread's misses per work unit and hit stall
+	// per work unit (apw*hitLat), which do not depend on the latency
+	// being iterated and so are computed once per cold solve.
+	mpw  []float64
+	hitW []float64
 }
 
 // solve computes per-thread progress rates. rates[i] is the attainable
@@ -103,6 +109,12 @@ func (s *contentionSolver) solve(rates []float64, dem []Demand, latMult []float6
 		copy(out, s.memoOut)
 		return s.memoOffered
 	}
+	s.mpw, s.hitW = s.mpw[:0], s.hitW[:0]
+	for i := range dem {
+		s.mpw = append(s.mpw, dem[i].MissesPerWork())
+		s.hitW = append(s.hitW, dem[i].AccessesPerWork*s.hitLat)
+	}
+	mpws, hitW := s.mpw, s.hitW
 	// Start from the uncontended latency.
 	latency := s.ctrl.Latency(0)
 	offered := 0.0
@@ -115,9 +127,8 @@ func (s *contentionSolver) solve(rates []float64, dem []Demand, latMult []float6
 				out[i] = 0
 				continue
 			}
-			mpw := dem[i].MissesPerWork()
-			apw := dem[i].AccessesPerWork
-			stallPerWork := mpw*latency*latMult[i]*(1-s.overlap) + apw*s.hitLat
+			mpw := mpws[i]
+			stallPerWork := mpw*latency*latMult[i]*(1-s.overlap) + hitW[i]
 			p := r / (1 + r*stallPerWork)
 			out[i] = p
 			offered += mpw * p

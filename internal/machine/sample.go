@@ -7,12 +7,12 @@ import (
 )
 
 // sampler holds the machine's counter-snapshot state: the previous
-// per-thread and per-core counter values, so Sample can return deltas
-// exactly as a sampling profiler would.
+// per-core counter values, so Sample can return deltas exactly as a
+// sampling profiler would. (Each thread's previous snapshot lives in its
+// own slot, thread.prev.)
 type sampler struct {
 	lastTime sim.Time
 	first    bool
-	prevT    map[ThreadID]counters.ThreadCounters
 	prevC    []counters.CoreCounters
 }
 
@@ -42,7 +42,6 @@ func (m *Machine) Sample(now sim.Time) *platform.Sample {
 	if m.smp == nil {
 		m.smp = &sampler{
 			first: true,
-			prevT: make(map[ThreadID]counters.ThreadCounters),
 			prevC: make([]counters.CoreCounters, m.file.NumCores()),
 		}
 	}
@@ -52,19 +51,23 @@ func (m *Machine) Sample(now sim.Time) *platform.Sample {
 		interval = 0
 		s.first = false
 	}
+	alive := m.AliveCount()
 	out := &platform.Sample{
 		Interval: interval,
-		Threads:  make(map[ThreadID]counters.ThreadDelta),
+		Threads:  make(map[ThreadID]counters.ThreadDelta, alive),
 		Cores:    make([]counters.CoreDelta, m.file.NumCores()),
-		Instr:    make(map[ThreadID]float64),
+		Instr:    make(map[ThreadID]float64, alive),
 	}
-	for _, tid := range m.Alive() {
-		prev := s.prevT[tid]
-		delta := m.file.DiffThread(int(tid), prev, interval)
-		s.prevT[tid] = m.file.Thread(int(tid))
+	for _, t := range m.threads {
+		if !t.alive(m.lastNow) {
+			continue
+		}
+		tid, cur := t.id, *t.ctr
+		delta := counters.Diff(cur, t.prev, interval)
+		t.prev = cur
 		// The cumulative instruction count is read directly (not via the
 		// delta), so it survives individual lost samples.
-		out.Instr[tid] = m.file.Thread(int(tid)).Instructions
+		out.Instr[tid] = cur.Instructions
 		if m.disruptor != nil && interval > 0 {
 			// Counter faults: the read may be lost (thread absent from the
 			// sample) or corrupted. The underlying cumulative counters are

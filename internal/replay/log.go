@@ -18,9 +18,12 @@
 package replay
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"dike/internal/counters"
@@ -29,8 +32,9 @@ import (
 )
 
 // Version identifies the log format. Bumped on incompatible changes;
-// the Player rejects logs from other versions.
-const Version = 1
+// the Player rejects logs from other versions. Version 2 writes counter
+// samples sparsely (see wireSample) and omits every zero event field.
+const Version = 2
 
 // jfloat is a float64 that survives a JSON round trip bit-identically.
 // encoding/json rejects NaN and the infinities outright, and fault
@@ -40,16 +44,27 @@ const Version = 1
 type jfloat float64
 
 func (f jfloat) MarshalJSON() ([]byte, error) {
+	return f.appendJSON(nil), nil
+}
+
+// appendJSON appends f's JSON encoding to b.
+func (f jfloat) appendJSON(b []byte) []byte {
 	v := float64(f)
 	switch {
 	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
+		return append(b, `"NaN"`...)
 	case math.IsInf(v, 1):
-		return []byte(`"+Inf"`), nil
+		return append(b, `"+Inf"`...)
 	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
+		return append(b, `"-Inf"`...)
 	}
-	return strconv.AppendFloat(nil, v, 'g', -1, 64), nil
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
+}
+
+// same reports whether f and g have identical bits — the test the
+// sparse sample encoding uses to decide a value can be left implicit.
+func (f jfloat) same(g jfloat) bool {
+	return math.Float64bits(float64(f)) == math.Float64bits(float64(g))
 }
 
 func (f *jfloat) UnmarshalJSON(b []byte) error {
@@ -142,71 +157,217 @@ const (
 )
 
 // event is one recorded platform interaction. Field use depends on the
-// kind; unused fields stay at their zero values. Scalar fields carry no
-// omitempty — thread 0 and core 0 are legitimate values. (The power
-// fields are the exception: they are omitted when empty so the five
-// original event kinds keep their exact historical encoding.)
+// kind; unused fields stay at their zero values. Every field is omitted
+// when zero: a missing field decodes to zero, so thread 0 and core 0
+// survive, and the fields a kind does not use cost no bytes.
 type event struct {
 	K     string              `json:"k"`
-	Now   sim.Time            `json:"t"`
+	Now   sim.Time            `json:"t,omitempty"`
 	Alive []platform.ThreadID `json:"alive,omitempty"`
 	S     *wireSample         `json:"s,omitempty"`
-	A     platform.ThreadID   `json:"a"`
-	B     platform.ThreadID   `json:"b"`
-	Core  platform.CoreID     `json:"c"`
-	PostA platform.CoreID     `json:"pa"`
-	PostB platform.CoreID     `json:"pb"`
+	A     platform.ThreadID   `json:"a,omitempty"`
+	B     platform.ThreadID   `json:"b,omitempty"`
+	Core  platform.CoreID     `json:"c,omitempty"`
+	PostA platform.CoreID     `json:"pa,omitempty"`
+	PostB platform.CoreID     `json:"pb,omitempty"`
 	Err   string              `json:"err,omitempty"`
 	// Power events: per-socket watts and cumulative joules of an
 	// energy-meter reading, and the level of a DVFS actuation.
 	W []jfloat `json:"pw,omitempty"`
 	E jfloat   `json:"pe,omitempty"`
 	L int      `json:"l,omitempty"`
+
+	// sample is S rebuilt by the player when the event is read.
+	sample *platform.Sample
 }
 
-// wireSample serialises a platform.Sample. Map keys are integers, which
-// encoding/json writes as sorted strings — log bytes are deterministic.
+// wireSample serialises a platform.Sample sparsely, which keeps samples —
+// nearly all of a log's bytes — small:
+//
+//   - thread deltas are positional tuples (wireThreadDelta) in ascending
+//     thread id;
+//   - cores are the core count plus only the entries that differ from
+//     the default {Interval: iv, ServedMisses: 0};
+//   - a per-delta interval is written only when it is not bit-equal to
+//     the sample interval.
+//
+// A thread's cumulative instruction count is written to Instr only when
+// the instruction chain cannot rebuild it; the ids it can are listed in
+// Chained (see instrChain). Instr keys are integers, which encoding/json
+// writes as sorted strings, so log bytes are deterministic.
 type wireSample struct {
-	Interval jfloat                                `json:"iv"`
-	Threads  map[platform.ThreadID]wireThreadDelta `json:"th,omitempty"`
-	Cores    []wireCoreDelta                       `json:"co,omitempty"`
-	Instr    map[platform.ThreadID]jfloat          `json:"in,omitempty"`
+	Interval jfloat                       `json:"iv"`
+	Threads  []wireThreadDelta            `json:"th,omitempty"`
+	NumCores int                          `json:"nc,omitempty"`
+	Cores    []wireCoreDelta              `json:"co,omitempty"`
+	Instr    map[platform.ThreadID]jfloat `json:"in,omitempty"`
+	Chained  []platform.ThreadID          `json:"ic,omitempty"`
 }
 
+// wireThreadDelta is one thread's counter delta, written as the JSON
+// array [id, w, in, ac, mi, mg, iv]. Trailing elements holding their
+// defaults are dropped: iv when it equals the sample interval (OwnIv
+// false), then mg when it is 0 and no iv follows.
 type wireThreadDelta struct {
-	Interval     jfloat `json:"iv"`
-	Work         jfloat `json:"w"`
-	Instructions jfloat `json:"in"`
-	Accesses     jfloat `json:"ac"`
-	Misses       jfloat `json:"mi"`
-	Migrations   int    `json:"mg"`
+	ID                                   platform.ThreadID
+	Work, Instructions, Accesses, Misses jfloat
+	Migrations                           int
+	Interval                             jfloat
+	OwnIv                                bool
 }
 
+// wireCoreDelta is one non-default core delta, written as the JSON array
+// [core, sm, iv] with iv dropped when it equals the sample interval.
 type wireCoreDelta struct {
-	Interval     jfloat `json:"iv"`
-	ServedMisses jfloat `json:"sm"`
+	Core         int
+	ServedMisses jfloat
+	Interval     jfloat
+	OwnIv        bool
+}
+
+func (d wireThreadDelta) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, 64)
+	b = append(b, '[')
+	b = strconv.AppendInt(b, int64(d.ID), 10)
+	for _, v := range [...]jfloat{d.Work, d.Instructions, d.Accesses, d.Misses} {
+		b = v.appendJSON(append(b, ','))
+	}
+	if d.Migrations != 0 || d.OwnIv {
+		b = strconv.AppendInt(append(b, ','), int64(d.Migrations), 10)
+	}
+	if d.OwnIv {
+		b = d.Interval.appendJSON(append(b, ','))
+	}
+	return append(b, ']'), nil
+}
+
+func (d *wireThreadDelta) UnmarshalJSON(b []byte) error {
+	var buf [7][]byte
+	f, err := tupleFields(b, buf[:0], 5)
+	if err != nil {
+		return err
+	}
+	id, err := tupleInt(f[0])
+	if err != nil {
+		return err
+	}
+	*d = wireThreadDelta{ID: platform.ThreadID(id)}
+	for i, dst := range [...]*jfloat{&d.Work, &d.Instructions, &d.Accesses, &d.Misses} {
+		if err := dst.UnmarshalJSON(f[1+i]); err != nil {
+			return err
+		}
+	}
+	if len(f) > 5 {
+		if d.Migrations, err = tupleInt(f[5]); err != nil {
+			return err
+		}
+	}
+	if len(f) > 6 {
+		d.OwnIv = true
+		return d.Interval.UnmarshalJSON(f[6])
+	}
+	return nil
+}
+
+func (d wireCoreDelta) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, 32)
+	b = append(b, '[')
+	b = strconv.AppendInt(b, int64(d.Core), 10)
+	b = d.ServedMisses.appendJSON(append(b, ','))
+	if d.OwnIv {
+		b = d.Interval.appendJSON(append(b, ','))
+	}
+	return append(b, ']'), nil
+}
+
+func (d *wireCoreDelta) UnmarshalJSON(b []byte) error {
+	var buf [3][]byte
+	f, err := tupleFields(b, buf[:0], 2)
+	if err != nil {
+		return err
+	}
+	c, err := tupleInt(f[0])
+	if err != nil {
+		return err
+	}
+	*d = wireCoreDelta{Core: c}
+	if err := d.ServedMisses.UnmarshalJSON(f[1]); err != nil {
+		return err
+	}
+	if len(f) > 2 {
+		d.OwnIv = true
+		return d.Interval.UnmarshalJSON(f[2])
+	}
+	return nil
+}
+
+var errBadTuple = errors.New("replay: malformed sample tuple")
+
+// tupleFields splits a flat JSON array of scalars into its elements,
+// appending them to dst. The array must hold between min and cap(dst)
+// elements. encoding/json has already checked b is valid JSON; a nested
+// value splits into fragments the scalar parsers reject.
+func tupleFields(b []byte, dst [][]byte, min int) ([][]byte, error) {
+	b = bytes.TrimSpace(b)
+	if len(b) < 2 || b[0] != '[' || b[len(b)-1] != ']' {
+		return nil, errBadTuple
+	}
+	for body := b[1 : len(b)-1]; ; {
+		if len(dst) == cap(dst) {
+			return nil, errBadTuple
+		}
+		field, rest, more := bytes.Cut(body, []byte{','})
+		dst = append(dst, bytes.TrimSpace(field))
+		if !more {
+			break
+		}
+		body = rest
+	}
+	if len(dst) < min {
+		return nil, errBadTuple
+	}
+	return dst, nil
+}
+
+// tupleInt parses one integer tuple element.
+func tupleInt(b []byte) (int, error) {
+	v, err := strconv.Atoi(string(b))
+	if err != nil {
+		return 0, fmt.Errorf("replay: bad integer %q in sample tuple", b)
+	}
+	return v, nil
 }
 
 // toWire converts a live sample for serialisation.
 func toWire(s *platform.Sample) *wireSample {
-	w := &wireSample{Interval: jfloat(s.Interval)}
+	iv := jfloat(s.Interval)
+	w := &wireSample{Interval: iv}
 	if len(s.Threads) > 0 {
-		w.Threads = make(map[platform.ThreadID]wireThreadDelta, len(s.Threads))
-		for id, d := range s.Threads {
-			w.Threads[id] = wireThreadDelta{
-				Interval:     jfloat(d.Interval),
+		ids := make([]platform.ThreadID, 0, len(s.Threads))
+		for id := range s.Threads {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		w.Threads = make([]wireThreadDelta, len(ids))
+		for i, id := range ids {
+			d := s.Threads[id]
+			w.Threads[i] = wireThreadDelta{
+				ID:           id,
 				Work:         jfloat(d.Work),
 				Instructions: jfloat(d.Instructions),
 				Accesses:     jfloat(d.Accesses),
 				Misses:       jfloat(d.Misses),
 				Migrations:   d.Migrations,
+				Interval:     jfloat(d.Interval),
+				OwnIv:        !iv.same(jfloat(d.Interval)),
 			}
 		}
 	}
-	if len(s.Cores) > 0 {
-		w.Cores = make([]wireCoreDelta, len(s.Cores))
-		for i, d := range s.Cores {
-			w.Cores[i] = wireCoreDelta{Interval: jfloat(d.Interval), ServedMisses: jfloat(d.ServedMisses)}
+	w.NumCores = len(s.Cores)
+	for i, d := range s.Cores {
+		own := !iv.same(jfloat(d.Interval))
+		if own || !jfloat(d.ServedMisses).same(0) {
+			w.Cores = append(w.Cores, wireCoreDelta{Core: i, ServedMisses: jfloat(d.ServedMisses), Interval: jfloat(d.Interval), OwnIv: own})
 		}
 	}
 	if len(s.Instr) > 0 {
@@ -218,26 +379,99 @@ func toWire(s *platform.Sample) *wireSample {
 	return w
 }
 
-// fromWire converts a deserialised sample back to the platform type.
+// instrChain is the log's one piece of cross-sample state: each thread's
+// cumulative instruction count as of the last sample that carried it.
+// The next count is almost always exactly last + delta.Instructions, so
+// the recorder writes a count only when that sum does not rebuild it bit
+// for bit, and lists the threads it does in wireSample.Chained; the
+// player keeps the same chain and rebuilds them. Both sides advance the
+// chain with the same values in the same order.
+type instrChain map[platform.ThreadID]float64
+
+// elide moves every count of s that the chain rebuilds exactly from
+// w.Instr to w.Chained, then advances the chain past s.
+func (c instrChain) elide(w *wireSample, s *platform.Sample) {
+	for _, d := range w.Threads {
+		v, ok := s.Instr[d.ID]
+		sum := c[d.ID] + float64(d.Instructions)
+		if ok && !math.IsNaN(v) && jfloat(sum).same(jfloat(v)) {
+			delete(w.Instr, d.ID)
+			w.Chained = append(w.Chained, d.ID)
+		}
+	}
+	for id, v := range s.Instr {
+		c[id] = v
+	}
+}
+
+// restore rebuilds the chained counts of s, the sample decoded from w,
+// then advances the chain past s. A chained thread must have a delta and
+// no written count.
+func (c instrChain) restore(w *wireSample, s *platform.Sample) error {
+	for _, id := range w.Chained {
+		d, ok := s.Threads[id]
+		if _, dup := s.Instr[id]; !ok || dup {
+			return fmt.Errorf("replay: chained instruction count for thread %d has no delta or is also written", id)
+		}
+		s.Instr[id] = c[id] + d.Instructions
+	}
+	for id, v := range s.Instr {
+		c[id] = v
+	}
+	return nil
+}
+
+// check validates a decoded sample against the recorded topology's core
+// count: the core count may not exceed it, and the sparse core entries
+// must be in range and strictly ascending.
+func (w *wireSample) check(ncores int) error {
+	if w.NumCores < 0 || w.NumCores > ncores {
+		return fmt.Errorf("replay: sample has %d cores, topology %d", w.NumCores, ncores)
+	}
+	prev := -1
+	for _, c := range w.Cores {
+		if c.Core <= prev || c.Core >= w.NumCores {
+			return fmt.Errorf("replay: sample core entry %d out of order or range", c.Core)
+		}
+		prev = c.Core
+	}
+	return nil
+}
+
+// fromWire converts a deserialised sample (one that passed check) back
+// to the platform type, filling in every value the sparse encoding left
+// implicit.
 func fromWire(w *wireSample) *platform.Sample {
+	iv := float64(w.Interval)
 	s := &platform.Sample{
-		Interval: float64(w.Interval),
+		Interval: iv,
 		Threads:  make(map[platform.ThreadID]counters.ThreadDelta, len(w.Threads)),
-		Cores:    make([]counters.CoreDelta, len(w.Cores)),
+		Cores:    make([]counters.CoreDelta, w.NumCores),
 		Instr:    make(map[platform.ThreadID]float64, len(w.Instr)),
 	}
-	for id, d := range w.Threads {
-		s.Threads[id] = counters.ThreadDelta{
-			Interval:     float64(d.Interval),
+	for _, d := range w.Threads {
+		td := counters.ThreadDelta{
+			Interval:     iv,
 			Work:         float64(d.Work),
 			Instructions: float64(d.Instructions),
 			Accesses:     float64(d.Accesses),
 			Misses:       float64(d.Misses),
 			Migrations:   d.Migrations,
 		}
+		if d.OwnIv {
+			td.Interval = float64(d.Interval)
+		}
+		s.Threads[d.ID] = td
 	}
-	for i, d := range w.Cores {
-		s.Cores[i] = counters.CoreDelta{Interval: float64(d.Interval), ServedMisses: float64(d.ServedMisses)}
+	for i := range s.Cores {
+		s.Cores[i].Interval = iv
+	}
+	for _, d := range w.Cores {
+		c := &s.Cores[d.Core]
+		c.ServedMisses = float64(d.ServedMisses)
+		if d.OwnIv {
+			c.Interval = float64(d.Interval)
+		}
 	}
 	for id, v := range w.Instr {
 		s.Instr[id] = float64(v)

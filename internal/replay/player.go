@@ -71,6 +71,7 @@ type Player struct {
 	procs     map[platform.ThreadID]int
 	placement map[platform.ThreadID]platform.CoreID
 	alive     []platform.ThreadID
+	instr     instrChain
 
 	pending *event // one-event lookahead
 	idx     int    // index of the next event to consume
@@ -104,6 +105,7 @@ func NewPlayer(r io.Reader) (*Player, error) {
 		topo:      topo,
 		procs:     make(map[platform.ThreadID]int, len(h.Threads)),
 		placement: make(map[platform.ThreadID]platform.CoreID, len(h.Threads)),
+		instr:     instrChain{},
 	}
 	for _, t := range h.Threads {
 		if _, ok := p.procs[t.ID]; ok {
@@ -147,8 +149,30 @@ func (p *Player) peek() (*event, error) {
 		p.sticky = fmt.Errorf("replay: event %d: %w", p.idx, err)
 		return nil, p.sticky
 	}
+	if err := p.readSample(&ev); err != nil {
+		p.sticky = fmt.Errorf("replay: event %d: %w", p.idx, err)
+		return nil, p.sticky
+	}
 	p.pending = &ev
 	return p.pending, nil
+}
+
+// readSample validates a sample event against the recorded topology and
+// rebuilds its sample, advancing the instruction chain, as the event is
+// read: events are read once each, in log order, which is the order the
+// recorder advanced its chain in.
+func (p *Player) readSample(ev *event) error {
+	if ev.K != evSample {
+		return nil
+	}
+	if ev.S == nil {
+		return errors.New("replay: sample event without a sample")
+	}
+	if err := ev.S.check(p.topo.NumCores()); err != nil {
+		return err
+	}
+	ev.sample = fromWire(ev.S)
+	return p.instr.restore(ev.S, ev.sample)
 }
 
 // take consumes the event returned by the last peek.
@@ -236,7 +260,7 @@ func (p *Player) Sample(now sim.Time) *platform.Sample {
 			Instr:   map[platform.ThreadID]float64{},
 		}
 	}
-	return fromWire(ev.S)
+	return ev.sample
 }
 
 // Place implements platform.Platform, applying the recorded outcome.

@@ -26,13 +26,14 @@ type Recorder struct {
 	started bool
 	err     error    // first write error; recording stops reporting after it
 	lastNow sim.Time // most recent quantum boundary, stamped on power events
+	instr   instrChain
 }
 
 // NewRecorder returns a recorder around inner writing to w. The caller
 // owns w; Flush must be called before the underlying writer is closed.
 func NewRecorder(inner platform.Platform, w io.Writer) *Recorder {
 	bw := bufio.NewWriter(w)
-	return &Recorder{inner: inner, w: bw, enc: json.NewEncoder(bw)}
+	return &Recorder{inner: inner, w: bw, enc: json.NewEncoder(bw), instr: instrChain{}}
 }
 
 // Start writes the log header: the platform's topology, thread table
@@ -121,7 +122,9 @@ func (r *Recorder) ProcessOf(id platform.ThreadID) (int, error) { return r.inner
 // Sample implements platform.Platform, logging the sample it returns.
 func (r *Recorder) Sample(now sim.Time) *platform.Sample {
 	s := r.inner.Sample(now)
-	r.emit(event{K: evSample, Now: now, S: toWire(s)})
+	w := toWire(s)
+	r.instr.elide(w, s)
+	r.emit(event{K: evSample, Now: now, S: w})
 	return s
 }
 
