@@ -18,8 +18,6 @@ func homogeneousConfig() machine.Config {
 	cfg := machine.DefaultConfig()
 	cfg.Topology.FastPhysical += cfg.Topology.SlowPhysical
 	cfg.Topology.SlowPhysical = 0
-	// A homogeneous topology needs at least one nominally slow pool? No:
-	// zero slow cores is valid; SlowSpeed just goes unused.
 	return cfg
 }
 

@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"dike/internal/platform"
 	"dike/internal/sim"
 )
 
@@ -58,7 +59,7 @@ func TestArrivalDoesNotHoldBarrier(t *testing.T) {
 	m := testMachine(t)
 	place(t, m, 0, 0, 1000, Demand{}, m.Topology().FastCores()[0])
 	place(t, m, 1, 0, 1000, Demand{}, m.Topology().FastCores()[2])
-	if err := m.AddBarrierGroup(50, []ThreadID{0, 1}); err != nil {
+	if err := m.AddBarrierGroup(50, []platform.ThreadID{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.SetStart(1, 10000); err != nil {

@@ -1,3 +1,21 @@
+// Package machine models the heterogeneous multicore the paper evaluates
+// on (Table I) and its topology-driven generalisation: cores of one or
+// more types at different speeds, SMT lanes sharing a physical core,
+// and memory controllers whose bandwidth the threads of their domain
+// contend for.
+//
+// The model is a deterministic, millisecond-granularity performance
+// model, not a cycle-accurate simulator: each tick it solves a fixed
+// point between per-thread progress and memory-controller latency, which
+// is enough to reproduce the contention phenomenology the scheduler
+// reacts to — differential slowdown of memory- vs compute-intensive
+// threads, core-type speed asymmetry, SMT interference and migration
+// cost.
+//
+// The machine is the reference implementation of platform.Platform:
+// schedulers drive it exclusively through that seam. The identifier and
+// topology types live in internal/platform, as they are part of the
+// seam.
 package machine
 
 import (
@@ -17,13 +35,14 @@ type Config struct {
 	// Spec, when set, replaces the legacy Topology/Mem* fields with a
 	// declarative topology-driven machine model: N core types, sockets
 	// with per-socket memory controllers, a socket-distance matrix and
-	// per-type DVFS tables. When nil the legacy fields below describe
-	// the canonical two-socket machine. The json tag omits the field
-	// when nil so the canonical encoding — and therefore every existing
-	// RunSpec digest — is unchanged for legacy configs.
+	// per-type DVFS tables. When nil, New lowers the legacy fields below
+	// into the equivalent spec: TopologySpec.MachineSpec plus one shared
+	// memory controller. The json tag omits the field when nil so the
+	// canonical encoding — and therefore every existing RunSpec digest —
+	// is unchanged for legacy configs.
 	Spec *platform.MachineSpec `json:"Spec,omitempty"`
 
-	Topology TopologySpec
+	Topology platform.TopologySpec
 
 	// SMTPenalty is the throughput factor each SMT lane gets when its
 	// sibling lane is also busy (e.g. 0.65: two busy hyperthreads each
@@ -70,7 +89,7 @@ type Config struct {
 // 2.33/1.21 frequency ratio, one shared memory controller.
 func DefaultConfig() Config {
 	return Config{
-		Topology: TopologySpec{
+		Topology: platform.TopologySpec{
 			FastPhysical: 10,
 			SlowPhysical: 10,
 			SMTWays:      2,
@@ -93,52 +112,58 @@ func DefaultConfig() Config {
 }
 
 // Validate reports the first problem with the configuration, or nil.
-// A topology-driven config (Spec set) validates the spec — including
-// every memory controller's capacity — up front; the legacy fields are
-// ignored in that case except for the shared penalty/solver parameters.
 func (c Config) Validate() error {
-	if c.Spec != nil {
-		if err := c.Spec.Validate(); err != nil {
-			return err
+	_, err := c.machineSpec()
+	return err
+}
+
+// machineSpec validates c and returns the machine description it
+// builds: c.Spec when it is set, otherwise the legacy Topology and Mem*
+// fields lowered into a spec — the core types "fast" and "slow", one
+// socket per non-empty pool and one shared memory controller. The
+// legacy fields are checked here, once: the pools by
+// TopologySpec.Validate, the controller by the spec's shared_mem rules.
+func (c Config) machineSpec() (*platform.MachineSpec, error) {
+	spec := c.Spec
+	if spec == nil {
+		if err := c.Topology.Validate(); err != nil {
+			return nil, err
 		}
-	} else if err := c.Topology.Validate(); err != nil {
-		return err
+		spec = c.Topology.MachineSpec()
+		spec.SharedMem = &platform.MemSpec{Capacity: c.MemCapacity, BaseLatency: c.MemBaseLatency, MaxUtil: c.MemMaxUtil}
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
 	switch {
 	case c.SMTPenalty <= 0 || c.SMTPenalty > 1:
-		return errors.New("machine: SMTPenalty must be in (0,1]")
-	case c.Spec == nil && c.MemCapacity <= 0:
-		return errors.New("machine: MemCapacity must be positive")
-	case c.Spec == nil && c.MemBaseLatency < 0:
-		return errors.New("machine: negative MemBaseLatency")
-	case c.Spec == nil && (c.MemMaxUtil <= 0 || c.MemMaxUtil >= 1):
-		return errors.New("machine: MemMaxUtil must be in (0,1)")
+		return nil, errors.New("machine: SMTPenalty must be in (0,1]")
 	case c.Overlap < 0 || c.Overlap >= 1:
-		return errors.New("machine: Overlap must be in [0,1)")
+		return nil, errors.New("machine: Overlap must be in [0,1)")
 	case c.LLCHitLatency < 0:
-		return errors.New("machine: negative LLCHitLatency")
+		return nil, errors.New("machine: negative LLCHitLatency")
 	case c.MigrationStall < 0:
-		return errors.New("machine: negative MigrationStall")
+		return nil, errors.New("machine: negative MigrationStall")
 	case c.ColdMissFactor < 1:
-		return errors.New("machine: ColdMissFactor must be >= 1")
+		return nil, errors.New("machine: ColdMissFactor must be >= 1")
 	case c.ColdHalfLife <= 0:
-		return errors.New("machine: ColdHalfLife must be positive")
+		return nil, errors.New("machine: ColdHalfLife must be positive")
 	case c.LocalColdFactor < 1:
-		return errors.New("machine: LocalColdFactor must be >= 1")
+		return nil, errors.New("machine: LocalColdFactor must be >= 1")
 	case c.LocalColdHalfLife <= 0:
-		return errors.New("machine: LocalColdHalfLife must be positive")
+		return nil, errors.New("machine: LocalColdHalfLife must be positive")
 	case c.RemoteLatencyFactor < 1:
-		return errors.New("machine: RemoteLatencyFactor must be >= 1")
+		return nil, errors.New("machine: RemoteLatencyFactor must be >= 1")
 	}
-	return nil
+	return spec, nil
 }
 
 // thread is the machine-side execution state of one thread.
 type thread struct {
-	id       ThreadID
+	id       platform.ThreadID
 	bench    int
 	prog     Program
-	core     CoreID
+	core     platform.CoreID
 	placed   bool
 	work     float64
 	finished bool
@@ -203,21 +228,21 @@ type Disruptor interface {
 	// CoreFactor returns the speed multiplier for core c at time now:
 	// 1 = healthy, in (0,1) = thermally throttled, 0 = offline (threads
 	// bound to the core make no progress until it recovers).
-	CoreFactor(c CoreID, now sim.Time) float64
+	CoreFactor(c platform.CoreID, now sim.Time) float64
 	// MigrationFails reports whether a migration of id to core `to`
 	// requested at now silently fails: the affinity change is dropped
 	// and no error surfaces, exactly like a lost IPI on real hardware.
-	MigrationFails(id ThreadID, to CoreID, now sim.Time) bool
+	MigrationFails(id platform.ThreadID, to platform.CoreID, now sim.Time) bool
 	// ThreadFault reports whether id is stalled (descheduled, making no
 	// progress) or crashes (terminates with its work incomplete) during
 	// the tick beginning at now. The crash answer must be stable for all
 	// of now's fault window so repeated per-tick queries are idempotent.
-	ThreadFault(id ThreadID, now sim.Time) (stalled, crashed bool)
+	ThreadFault(id platform.ThreadID, now sim.Time) (stalled, crashed bool)
 	// PerturbDelta perturbs a per-thread counter delta as it is sampled:
 	// it may return a corrupted copy (NaN/Inf/negative/saturated
 	// readings), or ok=false to drop the sample entirely (the reading
 	// was lost).
-	PerturbDelta(id ThreadID, now sim.Time, d counters.ThreadDelta) (_ counters.ThreadDelta, ok bool)
+	PerturbDelta(id platform.ThreadID, now sim.Time, d counters.ThreadDelta) (_ counters.ThreadDelta, ok bool)
 }
 
 // Machine is the simulated heterogeneous multicore. It implements
@@ -225,11 +250,10 @@ type Disruptor interface {
 // goroutine.
 type Machine struct {
 	cfg  Config
-	topo *Topology
+	topo *platform.Topology
 	file *counters.File
 
-	// Resolved machine model (built once in New from either the legacy
-	// fields or cfg.Spec):
+	// Resolved machine model (built once in New from the machine spec):
 	ctrls      []MemController    // one per controller domain
 	solvers    []contentionSolver // parallel to ctrls
 	coreDomain []int              // logical core -> controller domain
@@ -284,18 +308,14 @@ type Machine struct {
 	domProg  [][]float64
 }
 
-// New builds a machine from cfg.
+// New builds a machine from cfg.Spec, or from cfg's legacy fields
+// lowered into a spec.
 func New(cfg Config) (*Machine, error) {
-	if err := cfg.Validate(); err != nil {
+	spec, err := cfg.machineSpec()
+	if err != nil {
 		return nil, err
 	}
-	var topo *Topology
-	var err error
-	if cfg.Spec != nil {
-		topo, err = platform.BuildMachineTopology(cfg.Spec)
-	} else {
-		topo, err = BuildTopology(cfg.Topology)
-	}
+	topo, err := platform.BuildMachineTopology(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -304,60 +324,52 @@ func New(cfg Config) (*Machine, error) {
 		topo: topo,
 		file: counters.NewFile(topo.NumCores()),
 	}
-	m.resolve()
+	m.resolve(spec)
 	return m, nil
 }
 
 // resolve builds the runtime machine model — controllers, controller
-// domains, distance matrix, per-kind SMT penalties and DVFS tables —
-// from either the legacy config fields or cfg.Spec. The legacy machine
-// resolves to a single controller domain spanning both sockets, so its
-// contention solve runs the exact same float operations as before the
-// topology-driven refactor.
-func (m *Machine) resolve() {
+// domains, distance matrix, per-kind SMT penalties, DVFS tables and
+// power coefficients — from the spec the topology was built from. A
+// shared_mem spec (every legacy config) resolves to a single controller
+// domain spanning all sockets.
+func (m *Machine) resolve(spec *platform.MachineSpec) {
 	nk := m.topo.NumKinds()
 	ns := m.topo.NumSockets()
 	m.smtPen = make([]float64, nk)
 	m.dvfsTab = make([][]float64, nk)
-	for k := range m.smtPen {
+	// Power model: per-kind leakage and dynamic peak watts. A type
+	// without explicit coefficients derives them from its speed, so
+	// every machine has an energy meter.
+	static := make([]float64, nk)
+	m.dynPeak = make([]float64, nk)
+	for k := range spec.CoreTypes {
+		ct := &spec.CoreTypes[k]
 		m.smtPen[k] = m.cfg.SMTPenalty
+		if ct.SMTPenalty > 0 {
+			m.smtPen[k] = ct.SMTPenalty
+		}
+		if len(ct.DVFS) > 0 {
+			m.dvfsTab[k] = ct.DVFS
+		}
+		static[k] = ct.StaticPower()
+		m.dynPeak[k] = ct.PeakPower()
 	}
 	sockDomain := make([]int, ns)
-	if spec := m.cfg.Spec; spec != nil {
-		for k, ct := range spec.CoreTypes {
-			if ct.SMTPenalty > 0 {
-				m.smtPen[k] = ct.SMTPenalty
-			}
-			if len(ct.DVFS) > 0 {
-				m.dvfsTab[k] = ct.DVFS
-			}
-		}
-		if spec.SharedMem != nil {
-			m.ctrls = []MemController{{Capacity: spec.SharedMem.Capacity, BaseLatency: spec.SharedMem.BaseLatency, MaxUtil: spec.SharedMem.MaxUtil}}
-		} else {
-			m.ctrls = make([]MemController, ns)
-			for si, sock := range spec.Sockets {
-				m.ctrls[si] = MemController{Capacity: sock.Mem.Capacity, BaseLatency: sock.Mem.BaseLatency, MaxUtil: sock.Mem.MaxUtil}
-				sockDomain[si] = si
-			}
-		}
-		m.dist = make([][]float64, ns)
-		for i := range m.dist {
-			m.dist[i] = make([]float64, ns)
-			for j := range m.dist[i] {
-				m.dist[i][j] = spec.SocketDistance(i, j)
-			}
-		}
+	if spec.SharedMem != nil {
+		m.ctrls = []MemController{{Capacity: spec.SharedMem.Capacity, BaseLatency: spec.SharedMem.BaseLatency, MaxUtil: spec.SharedMem.MaxUtil}}
 	} else {
-		m.ctrls = []MemController{{Capacity: m.cfg.MemCapacity, BaseLatency: m.cfg.MemBaseLatency, MaxUtil: m.cfg.MemMaxUtil}}
-		m.dist = make([][]float64, ns)
-		for i := range m.dist {
-			m.dist[i] = make([]float64, ns)
-			for j := range m.dist[i] {
-				if i != j {
-					m.dist[i][j] = 1
-				}
-			}
+		m.ctrls = make([]MemController, ns)
+		for si, sock := range spec.Sockets {
+			m.ctrls[si] = MemController{Capacity: sock.Mem.Capacity, BaseLatency: sock.Mem.BaseLatency, MaxUtil: sock.Mem.MaxUtil}
+			sockDomain[si] = si
+		}
+	}
+	m.dist = make([][]float64, ns)
+	for i := range m.dist {
+		m.dist[i] = make([]float64, ns)
+		for j := range m.dist[i] {
+			m.dist[i][j] = spec.SocketDistance(i, j)
 		}
 	}
 	m.solvers = make([]contentionSolver, len(m.ctrls))
@@ -376,28 +388,8 @@ func (m *Machine) resolve() {
 	}
 	m.physBusy = make([]int, nPhys)
 
-	// Power model: per-kind dynamic peak watts, and per-socket leakage
-	// totals (one static contribution per physical core, counted once
-	// across its SMT lanes). Spec machines may override the coefficients
-	// per type; legacy machines derive them from the kind speeds, so every
-	// machine has an energy meter.
-	static := make([]float64, nk)
-	m.dynPeak = make([]float64, nk)
-	if spec := m.cfg.Spec; spec != nil {
-		for k := range spec.CoreTypes {
-			ct := &spec.CoreTypes[k]
-			static[k] = ct.StaticPower()
-			m.dynPeak[k] = ct.PeakPower()
-		}
-	} else {
-		for _, c := range m.topo.Cores() {
-			if static[c.Kind] == 0 {
-				ct := platform.CoreTypeSpec{Speed: c.Speed}
-				static[c.Kind] = ct.StaticPower()
-				m.dynPeak[c.Kind] = ct.PeakPower()
-			}
-		}
-	}
+	// Per-socket leakage totals: one static contribution per physical
+	// core, counted once across its SMT lanes.
 	m.sockStatic = make([]float64, ns)
 	m.sockWatts = make([]float64, ns)
 	m.sockDyn = make([]float64, ns)
@@ -413,7 +405,7 @@ func (m *Machine) resolve() {
 
 // nominalMult returns kind k's level-0 speed multiplier (1 when the
 // type declares no DVFS table).
-func (m *Machine) nominalMult(k CoreKind) float64 {
+func (m *Machine) nominalMult(k platform.CoreKind) float64 {
 	if tab := m.dvfsTab[k]; len(tab) > 0 {
 		return tab[0]
 	}
@@ -443,7 +435,7 @@ func (m *Machine) SetDisruptor(d Disruptor) { m.disruptor = d }
 func (m *Machine) Disruptor() Disruptor { return m.disruptor }
 
 // Topology returns the machine's core topology.
-func (m *Machine) Topology() *Topology { return m.topo }
+func (m *Machine) Topology() *platform.Topology { return m.topo }
 
 // Counters returns the machine's performance-counter file.
 func (m *Machine) Counters() *counters.File { return m.file }
@@ -451,7 +443,7 @@ func (m *Machine) Counters() *counters.File { return m.file }
 // AddThread registers a thread with its program and owning benchmark id.
 // Threads must be added before the simulation starts and placed with
 // Place before the first Step.
-func (m *Machine) AddThread(id ThreadID, bench int, prog Program) error {
+func (m *Machine) AddThread(id platform.ThreadID, bench int, prog Program) error {
 	if id < 0 {
 		return fmt.Errorf("machine: negative thread id %d", id)
 	}
@@ -474,7 +466,7 @@ func (m *Machine) AddThread(id ThreadID, bench int, prog Program) error {
 }
 
 // lookup returns the thread registered under id.
-func (m *Machine) lookup(id ThreadID) (*thread, bool) {
+func (m *Machine) lookup(id platform.ThreadID) (*thread, bool) {
 	if id < 0 || int(id) >= len(m.byID) || m.byID[id] == nil {
 		return nil, false
 	}
@@ -484,7 +476,7 @@ func (m *Machine) lookup(id ThreadID) (*thread, bool) {
 // SetStart delays a thread's arrival: before `at` it is not alive, holds
 // no core and makes no progress. Models the paper's dynamic workloads
 // where "threads will enter and leave the systems" (§III-F).
-func (m *Machine) SetStart(id ThreadID, at sim.Time) error {
+func (m *Machine) SetStart(id platform.ThreadID, at sim.Time) error {
 	t, ok := m.lookup(id)
 	if !ok {
 		return fmt.Errorf("machine: unknown thread %d", id)
@@ -497,7 +489,7 @@ func (m *Machine) SetStart(id ThreadID, at sim.Time) error {
 }
 
 // StartOf returns a thread's arrival time (0 = present from the start).
-func (m *Machine) StartOf(id ThreadID) (sim.Time, error) {
+func (m *Machine) StartOf(id platform.ThreadID) (sim.Time, error) {
 	t, ok := m.lookup(id)
 	if !ok {
 		return 0, fmt.Errorf("machine: unknown thread %d", id)
@@ -507,7 +499,7 @@ func (m *Machine) StartOf(id ThreadID) (sim.Time, error) {
 
 // AddBarrierGroup couples the given threads with a barrier every interval
 // work units. All members must already be registered.
-func (m *Machine) AddBarrierGroup(interval float64, members []ThreadID) error {
+func (m *Machine) AddBarrierGroup(interval float64, members []platform.ThreadID) error {
 	if interval <= 0 {
 		return errors.New("machine: barrier interval must be positive")
 	}
@@ -533,7 +525,7 @@ func (m *Machine) AddBarrierGroup(interval float64, members []ThreadID) error {
 }
 
 // Place sets a thread's initial core without any migration penalty.
-func (m *Machine) Place(id ThreadID, core CoreID) error {
+func (m *Machine) Place(id platform.ThreadID, core platform.CoreID) error {
 	t, ok := m.lookup(id)
 	if !ok {
 		return fmt.Errorf("machine: unknown thread %d", id)
@@ -548,7 +540,7 @@ func (m *Machine) Place(id ThreadID, core CoreID) error {
 
 // Migrate moves a thread to a new core, charging the migration stall and
 // cold-cache penalty. Migrating a finished thread is a no-op.
-func (m *Machine) Migrate(id ThreadID, core CoreID, now sim.Time) error {
+func (m *Machine) Migrate(id platform.ThreadID, core platform.CoreID, now sim.Time) error {
 	t, ok := m.lookup(id)
 	if !ok {
 		return fmt.Errorf("machine: unknown thread %d", id)
@@ -592,7 +584,7 @@ func (m *Machine) Migrate(id ThreadID, core CoreID, now sim.Time) error {
 
 // Swap exchanges the cores of two threads (the paper's swap operation: a
 // pair of migrations, no third core involved). It counts as one swap.
-func (m *Machine) Swap(a, b ThreadID, now sim.Time) error {
+func (m *Machine) Swap(a, b platform.ThreadID, now sim.Time) error {
 	ta, ok := m.lookup(a)
 	if !ok {
 		return fmt.Errorf("machine: unknown thread %d", a)
@@ -645,7 +637,7 @@ func (m *Machine) AliveCount() int {
 func (m *Machine) Utilization() float64 { return m.lastUtil }
 
 // CoreOf returns the core a thread is currently bound to.
-func (m *Machine) CoreOf(id ThreadID) (CoreID, error) {
+func (m *Machine) CoreOf(id platform.ThreadID) (platform.CoreID, error) {
 	t, ok := m.lookup(id)
 	if !ok {
 		return 0, fmt.Errorf("machine: unknown thread %d", id)
@@ -654,7 +646,7 @@ func (m *Machine) CoreOf(id ThreadID) (CoreID, error) {
 }
 
 // BenchOf returns the benchmark id a thread belongs to.
-func (m *Machine) BenchOf(id ThreadID) (int, error) {
+func (m *Machine) BenchOf(id platform.ThreadID) (int, error) {
 	t, ok := m.lookup(id)
 	if !ok {
 		return 0, fmt.Errorf("machine: unknown thread %d", id)
@@ -663,8 +655,8 @@ func (m *Machine) BenchOf(id ThreadID) (int, error) {
 }
 
 // Threads returns all thread ids in registration order.
-func (m *Machine) Threads() []ThreadID {
-	out := make([]ThreadID, len(m.threads))
+func (m *Machine) Threads() []platform.ThreadID {
+	out := make([]platform.ThreadID, len(m.threads))
 	for i, t := range m.threads {
 		out[i] = t.id
 	}
@@ -673,8 +665,8 @@ func (m *Machine) Threads() []ThreadID {
 
 // Alive returns the ids of unfinished threads that have arrived, in
 // registration order.
-func (m *Machine) Alive() []ThreadID {
-	var out []ThreadID
+func (m *Machine) Alive() []platform.ThreadID {
+	var out []platform.ThreadID
 	for _, t := range m.threads {
 		if t.alive(m.lastNow) {
 			out = append(out, t.id)
@@ -684,8 +676,8 @@ func (m *Machine) Alive() []ThreadID {
 }
 
 // Pending returns the ids of threads that have not arrived yet.
-func (m *Machine) Pending() []ThreadID {
-	var out []ThreadID
+func (m *Machine) Pending() []platform.ThreadID {
+	var out []platform.ThreadID
 	for _, t := range m.threads {
 		if !t.finished && t.startAt > m.lastNow {
 			out = append(out, t.id)
@@ -695,7 +687,7 @@ func (m *Machine) Pending() []ThreadID {
 }
 
 // Finished reports whether the thread has completed, and its finish time.
-func (m *Machine) Finished(id ThreadID) (sim.Time, bool) {
+func (m *Machine) Finished(id platform.ThreadID) (sim.Time, bool) {
 	t, ok := m.lookup(id)
 	if !ok || !t.finished {
 		return 0, false
@@ -707,7 +699,7 @@ func (m *Machine) Finished(id ThreadID) (sim.Time, bool) {
 // The open-loop traffic layer uses it for admission control: a rejected
 // arrival is terminated the instant it would have entered the system, so
 // it never occupies a lane. Terminating a finished thread is a no-op.
-func (m *Machine) Terminate(id ThreadID, at sim.Time) error {
+func (m *Machine) Terminate(id platform.ThreadID, at sim.Time) error {
 	t, ok := m.lookup(id)
 	if !ok {
 		return fmt.Errorf("machine: unknown thread %d", id)
@@ -749,7 +741,7 @@ func (m *Machine) IdleUntil(now sim.Time) (sim.Time, bool) {
 }
 
 // Progress returns the fraction of its total work a thread has completed.
-func (m *Machine) Progress(id ThreadID) float64 {
+func (m *Machine) Progress(id platform.ThreadID) float64 {
 	t, ok := m.lookup(id)
 	if !ok {
 		return 0
@@ -1019,7 +1011,7 @@ func (m *Machine) solveDomains(active []*thread, rates []float64, dems []Demand,
 // SetDVFS sets a core's DVFS level: an index into its type's multiplier
 // table (level 0 is nominal). Core types that declare no DVFS table only
 // accept level 0.
-func (m *Machine) SetDVFS(core CoreID, level int) error {
+func (m *Machine) SetDVFS(core platform.CoreID, level int) error {
 	if int(core) < 0 || int(core) >= m.topo.NumCores() {
 		return fmt.Errorf("machine: core %d out of range", core)
 	}
@@ -1066,7 +1058,7 @@ func (m *Machine) PowerWatts() float64 {
 }
 
 // DVFSOf returns a core's current DVFS level (0 = nominal).
-func (m *Machine) DVFSOf(core CoreID) int {
+func (m *Machine) DVFSOf(core platform.CoreID) int {
 	if int(core) < 0 || int(core) >= m.topo.NumCores() {
 		return 0
 	}
@@ -1075,7 +1067,7 @@ func (m *Machine) DVFSOf(core CoreID) int {
 
 // DVFSLevels returns how many DVFS levels a core's type declares (at
 // least 1: the nominal level).
-func (m *Machine) DVFSLevels(core CoreID) int {
+func (m *Machine) DVFSLevels(core platform.CoreID) int {
 	if int(core) < 0 || int(core) >= m.topo.NumCores() {
 		return 1
 	}
@@ -1105,8 +1097,8 @@ func (m *Machine) NumMemDomains() int { return len(m.ctrls) }
 
 // PlacementSnapshot returns the current thread→core map, sorted by thread
 // id. Used by traces and tests.
-func (m *Machine) PlacementSnapshot() map[ThreadID]CoreID {
-	out := make(map[ThreadID]CoreID, len(m.threads))
+func (m *Machine) PlacementSnapshot() map[platform.ThreadID]platform.CoreID {
+	out := make(map[platform.ThreadID]platform.CoreID, len(m.threads))
 	for _, t := range m.threads {
 		out[t.id] = t.core
 	}
@@ -1115,8 +1107,8 @@ func (m *Machine) PlacementSnapshot() map[ThreadID]CoreID {
 
 // ThreadsOn returns the unfinished threads currently bound to core c, in
 // ascending thread-id order.
-func (m *Machine) ThreadsOn(c CoreID) []ThreadID {
-	var out []ThreadID
+func (m *Machine) ThreadsOn(c platform.CoreID) []platform.ThreadID {
+	var out []platform.ThreadID
 	for _, t := range m.threads {
 		if t.alive(m.lastNow) && t.core == c {
 			out = append(out, t.id)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"dike/internal/platform"
 	"dike/internal/sim"
 )
 
@@ -18,7 +19,7 @@ func testMachine(t *testing.T) *Machine {
 }
 
 // place registers a thread with constant demand and places it.
-func place(t *testing.T, m *Machine, id ThreadID, bench int, work float64, dem Demand, core CoreID) {
+func place(t *testing.T, m *Machine, id platform.ThreadID, bench int, work float64, dem Demand, core platform.CoreID) {
 	t.Helper()
 	if err := m.AddThread(id, bench, ConstProgram{Work: work, Demand: dem}); err != nil {
 		t.Fatal(err)
@@ -52,6 +53,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.SMTPenalty = 1.5 },
 		func(c *Config) { c.MemCapacity = 0 },
 		func(c *Config) { c.MemBaseLatency = -1 },
+		func(c *Config) { c.MemBaseLatency = 0 }, // shared_mem.base_latency must be > 0
 		func(c *Config) { c.MemMaxUtil = 1 },
 		func(c *Config) { c.Overlap = 1 },
 		func(c *Config) { c.LLCHitLatency = -1 },
@@ -83,7 +85,7 @@ func TestSingleThreadRuntime(t *testing.T) {
 }
 
 func TestFastVsSlowCoreRatio(t *testing.T) {
-	run1 := func(core CoreID) sim.Time {
+	run1 := func(core platform.CoreID) sim.Time {
 		m := testMachine(t)
 		place(t, m, 0, 0, 1000, Demand{AccessesPerWork: 0.5, MissRatio: 0.02}, core)
 		return run(t, m, 20000)
@@ -141,7 +143,7 @@ func TestContentionSlowsMemoryThreads(t *testing.T) {
 	mBusy := testMachine(t)
 	fast := mBusy.Topology().FastCores()
 	for i := 0; i < 16; i++ {
-		place(t, mBusy, ThreadID(i), 0, 1000, mem, fast[i])
+		place(t, mBusy, platform.ThreadID(i), 0, 1000, mem, fast[i])
 	}
 	busy := run(t, mBusy, 120000)
 	if ratio := float64(busy) / float64(solo); ratio < 1.3 {
@@ -268,7 +270,7 @@ func TestBarrierGroupCouplesProgress(t *testing.T) {
 	dem := Demand{AccessesPerWork: 1, MissRatio: 0.05}
 	place(t, m, 0, 0, 1000, dem, fast)
 	place(t, m, 1, 0, 1000, dem, slow)
-	if err := m.AddBarrierGroup(50, []ThreadID{0, 1}); err != nil {
+	if err := m.AddBarrierGroup(50, []platform.ThreadID{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	for now := sim.Time(0); now < 200; now++ {
@@ -292,7 +294,7 @@ func TestBarrierFinishedMembersReleaseGroup(t *testing.T) {
 	dem := Demand{}
 	place(t, m, 0, 0, 100, dem, fast) // finishes early
 	place(t, m, 1, 0, 1000, dem, slow)
-	if err := m.AddBarrierGroup(50, []ThreadID{0, 1}); err != nil {
+	if err := m.AddBarrierGroup(50, []platform.ThreadID{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	done := run(t, m, 60000)
@@ -304,13 +306,13 @@ func TestBarrierFinishedMembersReleaseGroup(t *testing.T) {
 func TestBarrierValidation(t *testing.T) {
 	m := testMachine(t)
 	place(t, m, 0, 0, 100, Demand{}, 0)
-	if err := m.AddBarrierGroup(0, []ThreadID{0, 0}); err == nil {
+	if err := m.AddBarrierGroup(0, []platform.ThreadID{0, 0}); err == nil {
 		t.Error("zero interval accepted")
 	}
-	if err := m.AddBarrierGroup(10, []ThreadID{0}); err == nil {
+	if err := m.AddBarrierGroup(10, []platform.ThreadID{0}); err == nil {
 		t.Error("single-member group accepted")
 	}
-	if err := m.AddBarrierGroup(10, []ThreadID{0, 99}); err == nil {
+	if err := m.AddBarrierGroup(10, []platform.ThreadID{0, 99}); err == nil {
 		t.Error("unknown member accepted")
 	}
 }
@@ -361,7 +363,7 @@ func TestAddThreadValidation(t *testing.T) {
 	if err := m.AddThread(0, 0, ConstProgram{Work: 10}); err == nil {
 		t.Error("duplicate thread accepted")
 	}
-	if err := m.Place(0, CoreID(999)); err == nil {
+	if err := m.Place(0, platform.CoreID(999)); err == nil {
 		t.Error("out-of-range core accepted")
 	}
 	if err := m.Place(99, 0); err == nil {
@@ -425,7 +427,7 @@ func TestDeterminism(t *testing.T) {
 		m := testMachine(t)
 		dem := Demand{AccessesPerWork: 8, MissRatio: 0.4}
 		for i := 0; i < 8; i++ {
-			place(t, m, ThreadID(i), 0, 2000, dem, CoreID(i*3%40))
+			place(t, m, platform.ThreadID(i), 0, 2000, dem, platform.CoreID(i*3%40))
 		}
 		return m
 	}

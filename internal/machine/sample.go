@@ -32,7 +32,7 @@ func (m *Machine) MemCapacity() float64 {
 
 // ProcessOf implements platform.Platform; process membership is the
 // benchmark a thread belongs to.
-func (m *Machine) ProcessOf(id ThreadID) (int, error) { return m.BenchOf(id) }
+func (m *Machine) ProcessOf(id platform.ThreadID) (int, error) { return m.BenchOf(id) }
 
 // Sample implements platform.Platform: it reads the counters at time now
 // and returns deltas since the previous call. The first call returns
@@ -54,9 +54,9 @@ func (m *Machine) Sample(now sim.Time) *platform.Sample {
 	alive := m.AliveCount()
 	out := &platform.Sample{
 		Interval: interval,
-		Threads:  make(map[ThreadID]counters.ThreadDelta, alive),
+		Threads:  make(map[platform.ThreadID]counters.ThreadDelta, alive),
 		Cores:    make([]counters.CoreDelta, m.file.NumCores()),
-		Instr:    make(map[ThreadID]float64, alive),
+		Instr:    make(map[platform.ThreadID]float64, alive),
 	}
 	for _, t := range m.threads {
 		if !t.alive(m.lastNow) {

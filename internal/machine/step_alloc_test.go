@@ -68,16 +68,16 @@ func populate(tb testing.TB, m *Machine) {
 		if i%2 == 0 {
 			prog.base, prog.burst = mem, comp
 		}
-		id := ThreadID(i)
+		id := platform.ThreadID(i)
 		if err := m.AddThread(id, i/10, prog); err != nil {
 			tb.Fatal(err)
 		}
-		if err := m.Place(id, CoreID(i%m.Topology().NumCores())); err != nil {
+		if err := m.Place(id, platform.CoreID(i%m.Topology().NumCores())); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	for g := 0; g+4 <= n; g += 40 {
-		if err := m.AddBarrierGroup(50, []ThreadID{ThreadID(g), ThreadID(g + 1), ThreadID(g + 2), ThreadID(g + 3)}); err != nil {
+		if err := m.AddBarrierGroup(50, []platform.ThreadID{platform.ThreadID(g), platform.ThreadID(g + 1), platform.ThreadID(g + 2), platform.ThreadID(g + 3)}); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -107,11 +107,11 @@ func TestStepAllocatesNothing(t *testing.T) {
 				now++
 				switch now % 40 {
 				case 10:
-					if err := m.Swap(1, ThreadID(nc/2), now); err != nil {
+					if err := m.Swap(1, platform.ThreadID(nc/2), now); err != nil {
 						t.Fatal(err)
 					}
 				case 20:
-					if err := m.Migrate(2, CoreID(nc-1), now); err != nil {
+					if err := m.Migrate(2, platform.CoreID(nc-1), now); err != nil {
 						t.Fatal(err)
 					}
 				case 30:

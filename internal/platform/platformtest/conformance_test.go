@@ -11,12 +11,12 @@ import (
 
 // conformanceMachine builds the standard conformance population: six
 // long-running threads in three processes (two threads each) on a
-// 2 fast + 2 slow physical, 2-way SMT topology (8 logical cores).
-func conformanceMachine(t *testing.T) *Machine {
+// legacy 2-way SMT topology with the given fast and slow physical pools.
+func conformanceMachine(t *testing.T, fast, slow int) *Machine {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Topology.FastPhysical = 2
-	cfg.Topology.SlowPhysical = 2
+	cfg.Topology.FastPhysical = fast
+	cfg.Topology.SlowPhysical = slow
 	m := NewMachine(cfg)
 	for i := 0; i < 6; i++ {
 		prog := ConstProgram{Work: 1e6, Demand: Demand{AccessesPerWork: 4, MissRatio: 0.2}}
@@ -30,7 +30,7 @@ func conformanceMachine(t *testing.T) *Machine {
 // TestMachineConformance holds the simulated machine to the platform
 // contract.
 func TestMachineConformance(t *testing.T) {
-	m := conformanceMachine(t)
+	m := conformanceMachine(t, 2, 2)
 	Conformance(t, &Instance{P: m, Advance: m.Step})
 }
 
@@ -87,61 +87,7 @@ func TestSpecMachineConformance(t *testing.T) {
 // names, per-type speeds — must round-trip through the log and the
 // player must verify the identical call stream.
 func TestSpecReplayConformance(t *testing.T) {
-	m := conformanceSpecMachine(t)
-	var buf bytes.Buffer
-	rec := replay.NewRecorder(m, &buf)
-	if err := rec.Start(replay.Meta{Policy: "conformance", Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	Conformance(t, &Instance{
-		P:        rec,
-		Advance:  m.Step,
-		Boundary: func(now sim.Time) { _ = rec.Quantum(now) },
-	})
-	if t.Failed() {
-		t.Fatal("machine leg failed; replay leg would be meaningless")
-	}
-	if err := rec.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	p, err := replay.NewPlayer(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The replayed topology must match the live one exactly.
-	live, played := m.Topology(), p.Topology()
-	if played.NumCores() != live.NumCores() || played.NumSockets() != live.NumSockets() || played.NumKinds() != live.NumKinds() {
-		t.Fatalf("replayed topology %d cores/%d sockets/%d kinds, live %d/%d/%d",
-			played.NumCores(), played.NumSockets(), played.NumKinds(),
-			live.NumCores(), live.NumSockets(), live.NumKinds())
-	}
-	for _, c := range live.Cores() {
-		r := played.Core(c.ID)
-		if r != c {
-			t.Errorf("replayed core %d = %+v, live %+v", c.ID, r, c)
-		}
-	}
-	for k := 0; k < live.NumKinds(); k++ {
-		if played.KindName(platform.CoreKind(k)) != live.KindName(platform.CoreKind(k)) {
-			t.Errorf("replayed kind %d named %q, live %q", k, played.KindName(platform.CoreKind(k)), live.KindName(platform.CoreKind(k)))
-		}
-	}
-	Conformance(t, &Instance{
-		P: p,
-		Boundary: func(now sim.Time) {
-			got, ok, err := p.NextQuantum()
-			if err != nil {
-				t.Fatalf("NextQuantum at %v: %v", now, err)
-			}
-			if !ok || got != now {
-				t.Fatalf("NextQuantum = (%v, %v), want (%v, true)", got, ok, now)
-			}
-		},
-	})
-	if err := p.Err(); err != nil {
-		t.Fatalf("replay diverged: %v", err)
-	}
+	replayConformance(t, conformanceSpecMachine(t))
 }
 
 // TestReplayConformance holds the record/replay backend to the same
@@ -150,7 +96,22 @@ func TestSpecReplayConformance(t *testing.T) {
 // must both satisfy every assertion the machine did and verify that the
 // second pass issues the identical call stream.
 func TestReplayConformance(t *testing.T) {
-	m := conformanceMachine(t)
+	replayConformance(t, conformanceMachine(t, 2, 2))
+}
+
+// TestOnePoolReplayConformance records and replays a legacy machine
+// with an empty slow pool. Live and replayed platforms must agree on
+// its single socket: an empty pool contributes no socket.
+func TestOnePoolReplayConformance(t *testing.T) {
+	replayConformance(t, conformanceMachine(t, 4, 0))
+}
+
+// replayConformance runs the conformance script against a recorder
+// wrapping m, then against a player of that recording. The replayed
+// topology must match the live one exactly — cores, sockets, kind
+// names — and the player must verify the identical call stream.
+func replayConformance(t *testing.T, m *Machine) {
+	t.Helper()
 	var buf bytes.Buffer
 	rec := replay.NewRecorder(m, &buf)
 	if err := rec.Start(replay.Meta{Policy: "conformance", Seed: 1}); err != nil {
@@ -171,6 +132,22 @@ func TestReplayConformance(t *testing.T) {
 	p, err := replay.NewPlayer(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	live, played := m.Topology(), p.Topology()
+	if played.NumCores() != live.NumCores() || played.NumSockets() != live.NumSockets() || played.NumKinds() != live.NumKinds() {
+		t.Fatalf("replayed topology %d cores/%d sockets/%d kinds, live %d/%d/%d",
+			played.NumCores(), played.NumSockets(), played.NumKinds(),
+			live.NumCores(), live.NumSockets(), live.NumKinds())
+	}
+	for _, c := range live.Cores() {
+		if r := played.Core(c.ID); r != c {
+			t.Errorf("replayed core %d = %+v, live %+v", c.ID, r, c)
+		}
+	}
+	for k := 0; k < live.NumKinds(); k++ {
+		if played.KindName(platform.CoreKind(k)) != live.KindName(platform.CoreKind(k)) {
+			t.Errorf("replayed kind %d named %q, live %q", k, played.KindName(platform.CoreKind(k)), live.KindName(platform.CoreKind(k)))
+		}
 	}
 	Conformance(t, &Instance{
 		P: p,

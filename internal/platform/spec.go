@@ -138,59 +138,57 @@ func (s *MachineSpec) Validate() error {
 	}
 	names := make(map[string]bool, len(s.CoreTypes))
 	for i, ct := range s.CoreTypes {
-		field := fmt.Sprintf("core_types[%d]", i)
+		// Field names are formatted only on failure: every machine
+		// construction validates its spec.
+		field := func(f string) string { return fmt.Sprintf("core_types[%d].%s", i, f) }
 		switch {
 		case ct.Name == "":
-			return specErrf(field+".name", "empty")
+			return specErrf(field("name"), "empty")
 		case names[ct.Name]:
-			return specErrf(field+".name", "duplicate type %q", ct.Name)
+			return specErrf(field("name"), "duplicate type %q", ct.Name)
 		case ct.Speed <= 0:
-			return specErrf(field+".speed", "must be > 0, got %g", ct.Speed)
+			return specErrf(field("speed"), "must be > 0, got %g", ct.Speed)
 		case ct.SMTWays < 1:
-			return specErrf(field+".smt_ways", "must be >= 1, got %d", ct.SMTWays)
+			return specErrf(field("smt_ways"), "must be >= 1, got %d", ct.SMTWays)
 		case ct.SMTPenalty < 0 || ct.SMTPenalty > 1:
-			return specErrf(field+".smt_penalty", "must be in (0,1] or 0 for default, got %g", ct.SMTPenalty)
+			return specErrf(field("smt_penalty"), "must be in (0,1] or 0 for default, got %g", ct.SMTPenalty)
 		case ct.PowerStatic < 0:
-			return specErrf(field+".power_static", "must be >= 0, got %g", ct.PowerStatic)
+			return specErrf(field("power_static"), "must be >= 0, got %g", ct.PowerStatic)
 		case ct.PowerPeak < 0:
-			return specErrf(field+".power_peak", "must be >= 0, got %g", ct.PowerPeak)
+			return specErrf(field("power_peak"), "must be >= 0, got %g", ct.PowerPeak)
 		}
 		names[ct.Name] = true
 		for l, v := range ct.DVFS {
 			if v <= 0 || v > 1 {
-				return specErrf(fmt.Sprintf("%s.dvfs[%d]", field, l), "must be in (0,1], got %g", v)
+				return specErrf(field(fmt.Sprintf("dvfs[%d]", l)), "must be in (0,1], got %g", v)
 			}
 			if l > 0 && v > ct.DVFS[l-1] {
-				return specErrf(fmt.Sprintf("%s.dvfs[%d]", field, l), "levels must be non-increasing (%g > %g)", v, ct.DVFS[l-1])
+				return specErrf(field(fmt.Sprintf("dvfs[%d]", l)), "levels must be non-increasing (%g > %g)", v, ct.DVFS[l-1])
 			}
 		}
 	}
 	if len(s.Sockets) == 0 {
 		return specErrf("sockets", "at least one socket required")
 	}
-	total := 0
 	for i, sock := range s.Sockets {
-		field := fmt.Sprintf("sockets[%d]", i)
+		field := func(f string) string { return fmt.Sprintf("sockets[%d].%s", i, f) }
 		if len(sock.Cores) == 0 {
-			return specErrf(field+".cores", "socket has no cores")
+			return specErrf(field("cores"), "socket has no cores")
 		}
 		for j, g := range sock.Cores {
-			gf := fmt.Sprintf("%s.cores[%d]", field, j)
 			if !names[g.Type] {
-				return specErrf(gf+".type", "unknown core type %q", g.Type)
+				return specErrf(field(fmt.Sprintf("cores[%d].type", j)), "unknown core type %q", g.Type)
 			}
 			if g.Physical < 1 {
-				return specErrf(gf+".physical", "must be >= 1, got %d", g.Physical)
+				return specErrf(field(fmt.Sprintf("cores[%d].physical", j)), "must be >= 1, got %d", g.Physical)
 			}
-			total += g.Physical
 		}
 		if s.SharedMem == nil {
-			if err := sock.Mem.validate(field + ".mem"); err != nil {
+			if err := sock.Mem.validate(field("mem")); err != nil {
 				return err
 			}
 		}
 	}
-	_ = total
 	if s.SharedMem != nil {
 		if err := s.SharedMem.validate("shared_mem"); err != nil {
 			return err

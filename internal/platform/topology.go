@@ -61,8 +61,9 @@ type Topology struct {
 	numSockets int
 }
 
-// TopologySpec parameterises BuildTopology — the legacy fast/slow
-// two-socket machine.
+// TopologySpec describes the legacy fast/slow machine: one pool of fast
+// and one pool of slow physical cores with a common SMT width. It is
+// built by lowering it to a MachineSpec.
 type TopologySpec struct {
 	FastPhysical int     // number of fast physical cores
 	SlowPhysical int     // number of slow physical cores
@@ -88,9 +89,10 @@ func (s TopologySpec) Validate() error {
 	return nil
 }
 
-// MachineSpec returns the canonical topology-driven form of the legacy
-// spec: fast cores on socket 0, slow cores on socket 1, distance 1
-// between them. Memory controller fields are left to the caller.
+// MachineSpec returns the topology-driven form of the legacy spec: the
+// core types "fast" (kind 0) and "slow" (kind 1), and one socket per
+// non-empty pool, fast first, distance 1 between them. Memory controller
+// fields are left to the caller.
 func (s TopologySpec) MachineSpec() *MachineSpec {
 	ms := &MachineSpec{
 		CoreTypes: []CoreTypeSpec{
@@ -107,33 +109,6 @@ func (s TopologySpec) MachineSpec() *MachineSpec {
 	return ms
 }
 
-// BuildTopology lays out logical cores for the legacy machine: fast
-// physical cores first (socket 0), then slow (socket 1), with SMT lanes
-// interleaved per physical core. Logical core ids are dense in [0, Total).
-func BuildTopology(s TopologySpec) (*Topology, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	t := &Topology{siblings: make(map[int][]CoreID), kindNames: []string{"fast", "slow"}}
-	id := CoreID(0)
-	phys := 0
-	add := func(n int, kind CoreKind, speed float64, socket int) {
-		for i := 0; i < n; i++ {
-			for w := 0; w < s.SMTWays; w++ {
-				c := Core{ID: id, Kind: kind, Speed: speed, Physical: phys, Socket: socket}
-				t.cores = append(t.cores, c)
-				t.siblings[phys] = append(t.siblings[phys], id)
-				id++
-			}
-			phys++
-		}
-	}
-	add(s.FastPhysical, FastCore, s.FastSpeed, 0)
-	add(s.SlowPhysical, SlowCore, s.SlowSpeed, 1)
-	t.numSockets = 2
-	return t, nil
-}
-
 // BuildMachineTopology lays out logical cores from a validated
 // MachineSpec: sockets in declaration order, core groups in order within
 // each socket, SMT lanes interleaved per physical core. Logical core ids
@@ -142,7 +117,7 @@ func BuildMachineTopology(spec *MachineSpec) (*Topology, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Topology{siblings: make(map[int][]CoreID), numSockets: len(spec.Sockets)}
+	t := &Topology{cores: make([]Core, 0, spec.TotalLogical()), siblings: make(map[int][]CoreID), numSockets: len(spec.Sockets)}
 	for _, ct := range spec.CoreTypes {
 		t.kindNames = append(t.kindNames, ct.Name)
 	}

@@ -117,26 +117,96 @@ func terminal(status string) bool { return api.Terminal(status) }
 // spec plus its digest. The OnProgress hook is attached later, per job.
 // The cluster coordinator calls it too: routing a run by digest requires
 // resolving the request exactly the way the worker that executes it
-// will.
+// will. An open-loop request's traffic spec replaces every workload
+// source, and Scale does not apply to it (the arrival horizon sizes the
+// run).
 func BuildRunSpec(req RunRequest) (harness.RunSpec, string, error) {
-	if len(req.Traffic) > 0 {
-		return buildTrafficRunSpec(req)
-	}
-	mc, merr := parseMetaConfig(req)
-	if merr != nil {
-		return harness.RunSpec{}, "", merr
-	}
-	pc, perr := parsePowerConfig(req)
-	if perr != nil {
-		return harness.RunSpec{}, "", perr
-	}
-	var w *workload.Workload
+	spec := harness.RunSpec{Policy: req.Policy, Seed: 42, MaxTime: sim.Time(req.MaxTimeMs)}
 	var err error
+	if len(req.Traffic) > 0 {
+		if spec.Traffic, err = traffic.ParseSpec(req.Traffic); err != nil {
+			return harness.RunSpec{}, "", err
+		}
+		if req.Scale != 0 {
+			return harness.RunSpec{}, "", fmt.Errorf("serve: scale does not apply to traffic runs")
+		}
+	}
+	if len(req.Meta) > 0 && req.Policy != harness.PolicyMeta {
+		// Only the meta policy consults the config, and the harness
+		// excludes it from any other policy's content address: it would
+		// silently not affect the run, so it is rejected, not ignored.
+		return harness.RunSpec{}, "", fmt.Errorf("serve: meta config requires policy %q (got %q)", harness.PolicyMeta, req.Policy)
+	}
+	if spec.Meta, err = decodeStrict[tournament.Config](req.Meta, "meta config"); err != nil {
+		return harness.RunSpec{}, "", err
+	}
+	// A typoed governor field is rejected, not dropped: the run would
+	// otherwise go ungoverned at a different digest than the caller
+	// expects.
+	if spec.Power, err = decodeStrict[power.Config](req.Power, "power config"); err != nil {
+		return harness.RunSpec{}, "", err
+	}
+	if spec.Power != nil {
+		if err := spec.Power.Validate(); err != nil {
+			return harness.RunSpec{}, "", fmt.Errorf("serve: %w", err)
+		}
+	}
+	if spec.Traffic == nil {
+		if spec.Workload, err = requestWorkload(req); err != nil {
+			return harness.RunSpec{}, "", err
+		}
+		spec.Scale = req.Scale
+		if spec.Scale == 0 {
+			spec.Scale = 0.1
+		}
+		if spec.Scale < 0 || spec.Scale > 1 {
+			return harness.RunSpec{}, "", fmt.Errorf("serve: scale %g outside (0, 1]", req.Scale)
+		}
+	}
+	if req.Seed != nil {
+		spec.Seed = *req.Seed
+	}
+	if len(req.Machine) > 0 {
+		ms, err := platform.ParseMachineSpec(req.Machine)
+		if err != nil {
+			return harness.RunSpec{}, "", err
+		}
+		mcfg := machine.DefaultConfig()
+		mcfg.Spec = ms
+		spec.MachineConfig = &mcfg
+	}
+	if req.Faults != nil {
+		classes, err := fault.ParseClasses(req.Faults.Classes)
+		if err != nil {
+			return harness.RunSpec{}, "", err
+		}
+		if classes != 0 {
+			fc := fault.DefaultConfig()
+			fc.Classes = classes
+			if req.Faults.Rate != 0 {
+				fc.Rate = req.Faults.Rate
+			}
+			if req.Faults.Seed != 0 {
+				fc.Seed = req.Faults.Seed
+			}
+			spec.Faults = &fc
+		}
+	}
+	digest, err := spec.Digest() // also validates policy, workload and traffic spec
+	if err != nil {
+		return harness.RunSpec{}, "", err
+	}
+	return spec, digest, nil
+}
+
+// requestWorkload resolves a closed-workload request's workload source:
+// a generator, an explicit application list, or a Table II workload
+// (WL1 by default).
+func requestWorkload(req RunRequest) (*workload.Workload, error) {
 	switch {
 	case req.Generator != nil:
 		g := req.Generator
 		spec := workload.GeneratorSpec{
-			Name:          "gen",
 			Benchmarks:    g.Benchmarks,
 			ThreadsPer:    g.ThreadsPer,
 			MemoryApps:    -1,
@@ -150,182 +220,40 @@ func BuildRunSpec(req RunRequest) (harness.RunSpec, string, error) {
 			seed = 1
 		}
 		spec.Name = fmt.Sprintf("gen-%d", seed)
-		w, err = workload.Generate(spec, sim.NewRNG(seed))
+		return workload.Generate(spec, sim.NewRNG(seed))
 	case len(req.Apps) > 0:
-		w = &workload.Workload{Name: "custom:" + strings.Join(req.Apps, ",")}
+		w := &workload.Workload{Name: "custom:" + strings.Join(req.Apps, ",")}
 		for _, app := range req.Apps {
-			var p *workload.Profile
-			p, err = workload.LookupProfile(strings.TrimSpace(app))
+			p, err := workload.LookupProfile(strings.TrimSpace(app))
 			if err != nil {
-				break
+				return nil, err
 			}
 			w.Benchmarks = append(w.Benchmarks, workload.Benchmark{Profile: p, Threads: workload.ThreadsPerBenchmark})
 		}
+		return w, nil
 	default:
 		n := req.Workload
 		if n == 0 {
 			n = 1
 		}
-		w, err = workload.Table2(n)
+		return workload.Table2(n)
 	}
-	if err != nil {
-		return harness.RunSpec{}, "", err
-	}
-
-	scale := req.Scale
-	if scale == 0 {
-		scale = 0.1
-	}
-	if scale < 0 || scale > 1 {
-		return harness.RunSpec{}, "", fmt.Errorf("serve: scale %g outside (0, 1]", req.Scale)
-	}
-	seed := uint64(42)
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
-	spec := harness.RunSpec{
-		Workload: w,
-		Policy:   req.Policy,
-		Seed:     seed,
-		Scale:    scale,
-		MaxTime:  sim.Time(req.MaxTimeMs),
-		Meta:     mc,
-		Power:    pc,
-	}
-	if len(req.Machine) > 0 {
-		ms, err := platform.ParseMachineSpec(req.Machine)
-		if err != nil {
-			return harness.RunSpec{}, "", err
-		}
-		mcfg := machine.DefaultConfig()
-		mcfg.Spec = ms
-		spec.MachineConfig = &mcfg
-	}
-	if req.Faults != nil {
-		classes, err := fault.ParseClasses(req.Faults.Classes)
-		if err != nil {
-			return harness.RunSpec{}, "", err
-		}
-		if classes != 0 {
-			fc := fault.DefaultConfig()
-			fc.Classes = classes
-			if req.Faults.Rate != 0 {
-				fc.Rate = req.Faults.Rate
-			}
-			if req.Faults.Seed != 0 {
-				fc.Seed = req.Faults.Seed
-			}
-			spec.Faults = &fc
-		}
-	}
-	digest, err := spec.Digest() // also validates policy and workload
-	if err != nil {
-		return harness.RunSpec{}, "", err
-	}
-	return spec, digest, nil
 }
 
-// buildTrafficRunSpec resolves an open-loop request: the traffic spec
-// replaces every workload source, and Scale does not apply (the
-// arrival horizon sizes the run).
-func buildTrafficRunSpec(req RunRequest) (harness.RunSpec, string, error) {
-	ts, err := traffic.ParseSpec(req.Traffic)
-	if err != nil {
-		return harness.RunSpec{}, "", err
-	}
-	if req.Scale != 0 {
-		return harness.RunSpec{}, "", fmt.Errorf("serve: scale does not apply to traffic runs")
-	}
-	mc, err := parseMetaConfig(req)
-	if err != nil {
-		return harness.RunSpec{}, "", err
-	}
-	pc, err := parsePowerConfig(req)
-	if err != nil {
-		return harness.RunSpec{}, "", err
-	}
-	seed := uint64(42)
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
-	spec := harness.RunSpec{
-		Traffic: ts,
-		Policy:  req.Policy,
-		Seed:    seed,
-		MaxTime: sim.Time(req.MaxTimeMs),
-		Meta:    mc,
-		Power:   pc,
-	}
-	if len(req.Machine) > 0 {
-		ms, err := platform.ParseMachineSpec(req.Machine)
-		if err != nil {
-			return harness.RunSpec{}, "", err
-		}
-		mcfg := machine.DefaultConfig()
-		mcfg.Spec = ms
-		spec.MachineConfig = &mcfg
-	}
-	if req.Faults != nil {
-		classes, err := fault.ParseClasses(req.Faults.Classes)
-		if err != nil {
-			return harness.RunSpec{}, "", err
-		}
-		if classes != 0 {
-			fc := fault.DefaultConfig()
-			fc.Classes = classes
-			if req.Faults.Rate != 0 {
-				fc.Rate = req.Faults.Rate
-			}
-			if req.Faults.Seed != 0 {
-				fc.Seed = req.Faults.Seed
-			}
-			spec.Faults = &fc
-		}
-	}
-	digest, err := spec.Digest() // also validates policy and traffic spec
-	if err != nil {
-		return harness.RunSpec{}, "", err
-	}
-	return spec, digest, nil
-}
-
-// parsePowerConfig decodes a request's governor configuration. Unknown
-// fields are rejected — a typoed cap would otherwise run ungoverned at
-// a different digest than the caller expects.
-func parsePowerConfig(req RunRequest) (*power.Config, error) {
-	if len(req.Power) == 0 {
+// decodeStrict decodes an optional JSON extension, rejecting unknown
+// fields. It returns nil for an absent extension; what names it in a
+// decode error.
+func decodeStrict[T any](raw json.RawMessage, what string) (*T, error) {
+	if len(raw) == 0 {
 		return nil, nil
 	}
-	dec := json.NewDecoder(bytes.NewReader(req.Power))
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
-	var cfg power.Config
-	if err := dec.Decode(&cfg); err != nil {
-		return nil, fmt.Errorf("serve: power config: %w", err)
+	var v T
+	if err := dec.Decode(&v); err != nil {
+		return nil, fmt.Errorf("serve: %s: %w", what, err)
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	return &cfg, nil
-}
-
-// parseMetaConfig decodes a request's tournament configuration. Only
-// the meta policy consults it, and a config on any other policy would
-// silently not affect the run while the harness excludes it from the
-// content address — so it is rejected rather than ignored.
-func parseMetaConfig(req RunRequest) (*tournament.Config, error) {
-	if len(req.Meta) == 0 {
-		return nil, nil
-	}
-	if req.Policy != harness.PolicyMeta {
-		return nil, fmt.Errorf("serve: meta config requires policy %q (got %q)", harness.PolicyMeta, req.Policy)
-	}
-	dec := json.NewDecoder(bytes.NewReader(req.Meta))
-	dec.DisallowUnknownFields()
-	var cfg tournament.Config
-	if err := dec.Decode(&cfg); err != nil {
-		return nil, fmt.Errorf("serve: meta config: %w", err)
-	}
-	return &cfg, nil
+	return &v, nil
 }
 
 // runResult converts a finished harness run into the API result.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dike/internal/machine"
+	"dike/internal/platform"
 	"dike/internal/sim"
 )
 
@@ -110,7 +111,7 @@ func TestBuildRegistersEverything(t *testing.T) {
 	if got := inst.BenchOf(5); got != 1 {
 		t.Errorf("BenchOf(5) = %d, want 1", got)
 	}
-	if got := inst.BenchOf(machine.ThreadID(99)); got != -1 {
+	if got := inst.BenchOf(platform.ThreadID(99)); got != -1 {
 		t.Errorf("BenchOf(99) = %d, want -1", got)
 	}
 	mains := inst.MainBenchIndices()
@@ -151,7 +152,7 @@ func TestBuildScale(t *testing.T) {
 	// Access the registered program indirectly: run to completion and
 	// check final work.
 	for _, id := range m.Threads() {
-		if err := m.Place(id, machine.CoreID(int(id)%40)); err != nil {
+		if err := m.Place(id, platform.CoreID(int(id)%40)); err != nil {
 			t.Fatal(err)
 		}
 	}
