@@ -205,8 +205,10 @@ func checkSLOBaseline(current, baseline string) error {
 
 // checkBenchBaseline compares the scale experiment's fresh measurements
 // against a committed baseline and fails on a >25% per-policy decision
-// cost regression, or allocations per quantum above the baseline by more
-// than harness.AllocsTolerance, at any machine point both files measured.
+// cost regression, allocations per quantum above the baseline by more
+// than harness.AllocsTolerance, or contention-solver passes per tick
+// above it by more than harness.SolveItersTolerance, at any machine
+// point both files measured.
 func checkBenchBaseline(current, baseline string) error {
 	cur, err := harness.LoadBenchScale(current)
 	if err != nil {
@@ -218,7 +220,8 @@ func checkBenchBaseline(current, baseline string) error {
 	}
 	regressions := harness.CompareBenchScale(cur, base, 0.25)
 	if len(regressions) == 0 {
-		fmt.Printf("decision cost within 25%% and allocations within %.0f%% of baseline %s\n", 100*harness.AllocsTolerance, baseline)
+		fmt.Printf("decision cost within 25%%, allocations within %.0f%% and solver passes within %.0f%% of baseline %s\n",
+			100*harness.AllocsTolerance, 100*harness.SolveItersTolerance, baseline)
 		return nil
 	}
 	for _, r := range regressions {

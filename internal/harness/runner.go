@@ -232,6 +232,11 @@ type RunOutput struct {
 	// where no machine model runs.
 	EnergyJ float64
 	EDP     float64
+	// SolveStats counts the machine's contention-solver work over the
+	// run (ticks, solves, memo hits, saturated shortcuts, fixed-point
+	// passes). The counts are fixed by the spec and seed; they are
+	// observations and never feed a digest. Zero on replay.
+	SolveStats machine.SolveStats
 	// Power carries the governor's invocation log — one entry per
 	// adaptation with the watts it saw and the DVFS levels it set. Nil
 	// for ungoverned runs.
@@ -392,6 +397,7 @@ func Run(ctx context.Context, spec RunSpec) (*RunOutput, error) {
 	out.DecisionTime, out.Decisions = engine.DecisionCost()
 	out.EnergyJ = m.EnergyJoules()
 	out.EDP = out.EnergyJ * float64(done) / 1000
+	out.SolveStats = m.SolveStats()
 	if gp != nil {
 		out.Power = gp.Stats()
 	}

@@ -26,20 +26,23 @@ const BenchScaleSchema = "dike/bench-scale/v1"
 // and RunsPerSec are additive v1 fields: heap allocations per scheduling
 // quantum over the whole run and whole simulations per wall-clock
 // second, both measured on serial runs so concurrent simulations cannot
-// attribute each other's work.
+// attribute each other's work. SolveItersPerTick is an additive v1
+// field: the contention solver's fixed-point passes per engine tick,
+// summed over controller domains — a count fixed by (spec, seed).
 type BenchScaleEntry struct {
-	Point            string  `json:"point"`
-	Logical          int     `json:"logical"`
-	Sockets          int     `json:"sockets"`
-	CoreTypes        int     `json:"core_types"`
-	Policy           string  `json:"policy"`
-	NsPerQuantum     float64 `json:"ns_per_quantum"`
-	Quanta           int     `json:"quanta"`
-	Fairness         float64 `json:"fairness"`
-	Swaps            int     `json:"swaps"`
-	WallMs           float64 `json:"wall_ms"`
-	AllocsPerQuantum float64 `json:"allocs_per_quantum"`
-	RunsPerSec       float64 `json:"runs_per_sec"`
+	Point             string  `json:"point"`
+	Logical           int     `json:"logical"`
+	Sockets           int     `json:"sockets"`
+	CoreTypes         int     `json:"core_types"`
+	Policy            string  `json:"policy"`
+	NsPerQuantum      float64 `json:"ns_per_quantum"`
+	Quanta            int     `json:"quanta"`
+	Fairness          float64 `json:"fairness"`
+	Swaps             int     `json:"swaps"`
+	WallMs            float64 `json:"wall_ms"`
+	AllocsPerQuantum  float64 `json:"allocs_per_quantum"`
+	RunsPerSec        float64 `json:"runs_per_sec"`
+	SolveItersPerTick float64 `json:"solve_iters_per_tick"`
 }
 
 // BenchScale is the BENCH_scale.json document.
@@ -74,10 +77,17 @@ func LoadBenchScale(path string) (*BenchScale, error) {
 // tight: one allocation per engine tick adds 100+ per quantum.
 const AllocsTolerance = 0.10
 
+// SolveItersTolerance bounds how far solve_iters_per_tick may rise
+// above the baseline in CompareBenchScale. Solver passes are an exact
+// count fixed by (spec, seed), so the bound only absorbs rounding of
+// the recorded ratio.
+const SolveItersTolerance = 0.01
+
 // CompareBenchScale reports every (point, policy) present in both
 // documents whose decision cost regressed by more than tolerance
-// (0.25 = 25%) or whose allocations per quantum rose by more than
-// AllocsTolerance. Points only one side measured (e.g. a quick run
+// (0.25 = 25%), whose allocations per quantum rose by more than
+// AllocsTolerance, or whose solver passes per tick rose by more than
+// SolveItersTolerance. Points only one side measured (e.g. a quick run
 // against a full baseline), and metrics the baseline does not record,
 // are skipped.
 func CompareBenchScale(cur, base *BenchScale, tolerance float64) []string {
@@ -86,11 +96,11 @@ func CompareBenchScale(cur, base *BenchScale, tolerance float64) []string {
 		baseline[e.Point+"/"+e.Policy] = e
 	}
 	var regressions []string
-	check := func(e BenchScaleEntry, metric string, got, want, tol float64) {
+	check := func(e BenchScaleEntry, metric string, got, want, tol float64, prec int) {
 		if want > 0 && got > want*(1+tol) {
 			regressions = append(regressions, fmt.Sprintf(
-				"%s/%s: %.0f %s vs baseline %.0f (+%.0f%%)",
-				e.Point, e.Policy, got, metric, want, 100*(got/want-1)))
+				"%s/%s: %.*f %s vs baseline %.*f (+%.0f%%)",
+				e.Point, e.Policy, prec, got, metric, prec, want, 100*(got/want-1)))
 		}
 	}
 	for _, e := range cur.Entries {
@@ -98,8 +108,9 @@ func CompareBenchScale(cur, base *BenchScale, tolerance float64) []string {
 		if !ok {
 			continue
 		}
-		check(e, "ns/quantum", e.NsPerQuantum, b.NsPerQuantum, tolerance)
-		check(e, "allocs/quantum", e.AllocsPerQuantum, b.AllocsPerQuantum, AllocsTolerance)
+		check(e, "ns/quantum", e.NsPerQuantum, b.NsPerQuantum, tolerance, 0)
+		check(e, "allocs/quantum", e.AllocsPerQuantum, b.AllocsPerQuantum, AllocsTolerance, 0)
+		check(e, "solve iters/tick", e.SolveItersPerTick, b.SolveItersPerTick, SolveItersTolerance, 2)
 	}
 	return regressions
 }
@@ -235,7 +246,7 @@ func runScale(optsIn Options) (*Report, error) {
 	bench := &BenchScale{Schema: BenchScaleSchema, Seed: opts.Seed, Scale: benchScale, Quick: opts.Quick}
 	t := &Table{
 		Title:  "Decision cost and fairness across the 40→1024-core grid",
-		Header: []string{"machine", "logical", "sockets", "types", "policy", "ns/quantum", "quanta", "fairness", "swaps", "allocs/quantum", "runs/sec"},
+		Header: []string{"machine", "logical", "sockets", "types", "policy", "ns/quantum", "quanta", "fairness", "swaps", "allocs/quantum", "runs/sec", "solve iters/tick"},
 	}
 	// Runs are serial (not RunAll) so the per-run heap and wall-clock
 	// measurements are attributable to one simulation.
@@ -258,17 +269,23 @@ func runScale(optsIn Options) (*Report, error) {
 			if out.Decisions > 0 {
 				nsq = float64(out.DecisionTime.Nanoseconds()) / float64(out.Decisions)
 			}
+			iters := 0.0
+			if st := out.SolveStats; st.Ticks > 0 {
+				iters = float64(st.Iterations) / float64(st.Ticks)
+			}
 			bench.Entries = append(bench.Entries, BenchScaleEntry{
 				Point: p.name, Logical: p.logical, Sockets: p.sockets, CoreTypes: p.coreTypes,
 				Policy: pol, NsPerQuantum: nsq, Quanta: out.Decisions,
 				Fairness: out.Result.Fairness, Swaps: out.Result.Swaps,
 				WallMs:           float64(cost.Wall.Microseconds()) / 1000,
 				AllocsPerQuantum: cost.AllocsPerQuantum, RunsPerSec: cost.RunsPerSec,
+				SolveItersPerTick: iters,
 			})
 			t.AddRow(p.name, p.logical, p.sockets, p.coreTypes, pol,
 				fmt.Sprintf("%.0f", nsq), out.Decisions,
 				fmt.Sprintf("%.4f", out.Result.Fairness), out.Result.Swaps,
-				fmt.Sprintf("%.0f", cost.AllocsPerQuantum), fmt.Sprintf("%.2f", cost.RunsPerSec))
+				fmt.Sprintf("%.0f", cost.AllocsPerQuantum), fmt.Sprintf("%.2f", cost.RunsPerSec),
+				fmt.Sprintf("%.2f", iters))
 		}
 	}
 	if opts.BenchOut != "" {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"strings"
@@ -121,6 +122,62 @@ func TestCompareBenchScaleGatesAllocs(t *testing.T) {
 	regs := CompareBenchScale(cur, base, 0.25)
 	if len(regs) != 1 || !strings.Contains(regs[0], "t1-40/dike") || !strings.Contains(regs[0], "allocs/quantum") {
 		t.Errorf("want one t1-40/dike allocs regression, got %v", regs)
+	}
+}
+
+// TestCompareBenchScaleGatesSolveIters: solver passes per tick are an
+// exact count, gated with the tight SolveItersTolerance; a baseline
+// that does not record them gates nothing.
+func TestCompareBenchScaleGatesSolveIters(t *testing.T) {
+	base := &BenchScale{Schema: BenchScaleSchema, Entries: []BenchScaleEntry{
+		{Point: "t1-40", Policy: "dike", SolveItersPerTick: 4},
+		{Point: "t1-40", Policy: "cfs"},
+	}}
+	cur := &BenchScale{Schema: BenchScaleSchema, Entries: []BenchScaleEntry{
+		{Point: "t1-40", Policy: "dike", SolveItersPerTick: 4 * (1 + SolveItersTolerance) * 0.99},
+		{Point: "t1-40", Policy: "cfs", SolveItersPerTick: 100},
+	}}
+	if regs := CompareBenchScale(cur, base, 0.25); len(regs) != 0 {
+		t.Errorf("solver passes within tolerance reported %v", regs)
+	}
+	cur.Entries[0].SolveItersPerTick = 4.5
+	regs := CompareBenchScale(cur, base, 0.25)
+	if len(regs) != 1 || !strings.Contains(regs[0], "t1-40/dike: 4.50 solve iters/tick vs baseline 4.00") {
+		t.Errorf("want one t1-40/dike solver-pass regression, got %v", regs)
+	}
+}
+
+// TestScaleSaturatedShortcutFires runs the sweep's 1024-core point at
+// seed 42 and checks through SolveStats that the contention solver's
+// saturated shortcut fires and cuts fixed-point passes per tick by at
+// least 40% against the plain fixed point, which made 130.86 passes per
+// tick on this run (measured before the shortcut existed; the run's
+// outputs are bit-identical either way).
+func TestScaleSaturatedShortcutFires(t *testing.T) {
+	const plainItersPerTick = 130.86
+	var point *scalePoint
+	for _, p := range scaleGrid(false) {
+		if p.name == "8s4t-1024" {
+			point = &p
+		}
+	}
+	if point == nil {
+		t.Fatal("no 8s4t-1024 point in the scale grid")
+	}
+	w, err := scaleWorkload(point.logical, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Run(context.Background(), RunSpec{Workload: w, Policy: PolicyDike, Seed: 42, Scale: 0.015, MachineConfig: &point.cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := out.SolveStats
+	if st.Ticks == 0 || st.Saturated == 0 {
+		t.Fatalf("saturated shortcut never fired: %+v", st)
+	}
+	if perTick := float64(st.Iterations) / float64(st.Ticks); perTick > 0.6*plainItersPerTick {
+		t.Errorf("%.2f solver passes per tick, want at most 60%% of the plain fixed point's %.2f (%+v)", perTick, plainItersPerTick, st)
 	}
 }
 

@@ -181,6 +181,9 @@ type thread struct {
 	coldHalf   float64
 	numaBoost  float64
 	barrier    *barrierGroup
+	// slot is the thread's index in its controller domain's solve inputs
+	// for the current tick (valid only while it is in Step's active list).
+	slot int
 	// ctr is the thread's cumulative counter block (owned by the
 	// machine's counter file); prev is the block as of the last Sample,
 	// from which the sampler differences deltas.
@@ -254,16 +257,15 @@ type Machine struct {
 	file *counters.File
 
 	// Resolved machine model (built once in New from the machine spec):
-	ctrls      []MemController    // one per controller domain
-	solvers    []contentionSolver // parallel to ctrls
-	coreDomain []int              // logical core -> controller domain
-	dist       [][]float64        // socket x socket distance matrix
-	smtPen     []float64          // per-kind SMT penalty
-	dvfsTab    [][]float64        // per-kind DVFS multiplier tables (nil = nominal only)
-	dvfsLevel  []int              // per-core current DVFS level
-	coreMult   []float64          // per-core current speed multiplier
-	dynPeak    []float64          // per-kind dynamic watts at multiplier 1, one busy lane
-	sockStatic []float64          // per-socket leakage watts (always burned)
+	doms       []memDomain // one per memory controller domain
+	coreDomain []int       // logical core -> controller domain
+	dist       [][]float64 // socket x socket distance matrix
+	smtPen     []float64   // per-kind SMT penalty
+	dvfsTab    [][]float64 // per-kind DVFS multiplier tables (nil = nominal only)
+	dvfsLevel  []int       // per-core current DVFS level
+	coreMult   []float64   // per-core current speed multiplier
+	dynPeak    []float64   // per-kind dynamic watts at multiplier 1, one busy lane
+	sockStatic []float64   // per-socket leakage watts (always burned)
 
 	// threads holds every thread in registration order, which is the
 	// deterministic iteration order of every per-tick fold; byID indexes
@@ -294,18 +296,25 @@ type Machine struct {
 	laneCount []int
 	physBusy  []int
 
-	// scratch buffers reused across Step calls to avoid per-tick allocs.
-	scratchT     []*thread
-	scratchRates []float64
-	scratchDem   []Demand
-	scratchLat   []float64
-	scratchProg  []float64
-	// per-controller-domain scratch for the multi-socket solve.
-	domIdx   [][]int
-	domRates [][]float64
-	domDems  [][]Demand
-	domLats  [][]float64
-	domProg  [][]float64
+	// scratchT is the tick's runnable threads in registration order,
+	// reused across Step calls to avoid per-tick allocs.
+	scratchT []*thread
+	ticks    int64 // Step calls that advanced time
+}
+
+// memDomain is one memory controller domain: the controller, the solver
+// that iterates against it, and the tick's solve inputs — the attainable
+// rate, demand and NUMA latency multiplier of each of the domain's
+// runnable threads, in registration order, and the progress rates the
+// solve writes back. Step's gather fills the inputs directly; they are
+// reused across ticks.
+type memDomain struct {
+	ctrl   MemController
+	solver contentionSolver
+	rates  []float64
+	dems   []Demand
+	lats   []float64
+	prog   []float64
 }
 
 // New builds a machine from cfg.Spec, or from cfg's legacy fields
@@ -357,11 +366,11 @@ func (m *Machine) resolve(spec *platform.MachineSpec) {
 	}
 	sockDomain := make([]int, ns)
 	if spec.SharedMem != nil {
-		m.ctrls = []MemController{{Capacity: spec.SharedMem.Capacity, BaseLatency: spec.SharedMem.BaseLatency, MaxUtil: spec.SharedMem.MaxUtil}}
+		m.doms = []memDomain{{ctrl: MemController{Capacity: spec.SharedMem.Capacity, BaseLatency: spec.SharedMem.BaseLatency, MaxUtil: spec.SharedMem.MaxUtil}}}
 	} else {
-		m.ctrls = make([]MemController, ns)
+		m.doms = make([]memDomain, ns)
 		for si, sock := range spec.Sockets {
-			m.ctrls[si] = MemController{Capacity: sock.Mem.Capacity, BaseLatency: sock.Mem.BaseLatency, MaxUtil: sock.Mem.MaxUtil}
+			m.doms[si].ctrl = MemController{Capacity: sock.Mem.Capacity, BaseLatency: sock.Mem.BaseLatency, MaxUtil: sock.Mem.MaxUtil}
 			sockDomain[si] = si
 		}
 	}
@@ -372,9 +381,9 @@ func (m *Machine) resolve(spec *platform.MachineSpec) {
 			m.dist[i][j] = spec.SocketDistance(i, j)
 		}
 	}
-	m.solvers = make([]contentionSolver, len(m.ctrls))
-	for d := range m.ctrls {
-		m.solvers[d] = contentionSolver{ctrl: &m.ctrls[d], overlap: m.cfg.Overlap, hitLat: m.cfg.LLCHitLatency}
+	for d := range m.doms {
+		dom := &m.doms[d]
+		dom.solver = contentionSolver{ctrl: &dom.ctrl, overlap: m.cfg.Overlap, hitLat: m.cfg.LLCHitLatency}
 	}
 	m.coreDomain = make([]int, m.topo.NumCores())
 	m.dvfsLevel = make([]int, m.topo.NumCores())
@@ -633,8 +642,23 @@ func (m *Machine) AliveCount() int {
 }
 
 // Utilization returns the memory controller utilisation measured during
-// the most recent Step.
+// the most recent Step that had runnable threads. On a machine with
+// several controller domains it is the hottest domain's utilisation.
 func (m *Machine) Utilization() float64 { return m.lastUtil }
+
+// SolveStats returns the contention solver's counters summed over every
+// controller domain since the machine was built.
+func (m *Machine) SolveStats() SolveStats {
+	st := SolveStats{Ticks: m.ticks}
+	for d := range m.doms {
+		s := &m.doms[d].solver.stats
+		st.Solves += s.Solves
+		st.MemoHits += s.MemoHits
+		st.Saturated += s.Saturated
+		st.Iterations += s.Iterations
+	}
+	return st
+}
 
 // CoreOf returns the core a thread is currently bound to.
 func (m *Machine) CoreOf(id platform.ThreadID) (platform.CoreID, error) {
@@ -762,29 +786,28 @@ func (m *Machine) Done() bool {
 // alive reports whether t has arrived by now and not finished.
 func (t *thread) alive(now sim.Time) bool { return !t.finished && t.startAt <= now }
 
-// coldFactor returns the current cold-cache miss multiplier for t.
-func (m *Machine) coldFactor(t *thread, now sim.Time) float64 {
-	if t.migratedAt < 0 || t.coldBoost <= 0 {
-		return 1
+// migrationFactors returns t's current cold-cache miss multiplier and
+// its per-miss latency multiplier (remote NUMA accesses after a
+// cross-socket migration). Both penalties decay with the same half-life
+// from the same instant, so the decay term is computed once.
+func (m *Machine) migrationFactors(t *thread, now sim.Time) (cold, numa float64) {
+	cold, numa = 1, 1
+	if t.migratedAt < 0 || (t.coldBoost <= 0 && t.numaBoost <= 0) {
+		return cold, numa
 	}
 	age := float64(now - t.migratedAt)
 	if age < 0 {
 		age = 0
 	}
-	return 1 + t.coldBoost*math.Exp(-age*math.Ln2/t.coldHalf)
-}
-
-// numaFactor returns the current per-miss latency multiplier for t
-// (remote NUMA accesses after a cross-socket migration).
-func (m *Machine) numaFactor(t *thread, now sim.Time) float64 {
-	if t.migratedAt < 0 || t.numaBoost <= 0 {
-		return 1
+	// Negated tests, so a NaN boost yields a NaN factor rather than 1.
+	decay := math.Exp(-age * math.Ln2 / t.coldHalf)
+	if !(t.coldBoost <= 0) {
+		cold = 1 + t.coldBoost*decay
 	}
-	age := float64(now - t.migratedAt)
-	if age < 0 {
-		age = 0
+	if !(t.numaBoost <= 0) {
+		numa = 1 + t.numaBoost*decay
 	}
-	return 1 + t.numaBoost*math.Exp(-age*math.Ln2/t.coldHalf)
+	return cold, numa
 }
 
 // Step implements sim.World. It advances all threads by dt ms, solving
@@ -798,6 +821,7 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 	// Occupancy: unfinished threads per logical core, and busy lanes per
 	// physical core (for the SMT penalty).
 	m.lastNow = now + dt
+	m.ticks++
 	cores := m.topo.Cores()
 	laneCount, physBusy := m.laneCount, m.physBusy
 	clear(laneCount)
@@ -837,11 +861,14 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 		m.energyJ += w * fdtSec
 	}
 
-	// Gather runnable threads and their attainable rates and demands.
+	// Gather runnable threads, appending each one's attainable rate,
+	// demand and NUMA multiplier straight into its controller domain's
+	// solve inputs, in registration order.
 	active := m.scratchT[:0]
-	rates := m.scratchRates[:0]
-	dems := m.scratchDem[:0]
-	lats := m.scratchLat[:0]
+	for d := range m.doms {
+		dom := &m.doms[d]
+		dom.rates, dom.dems, dom.lats = dom.rates[:0], dom.dems[:0], dom.lats[:0]
+	}
 	for _, t := range m.threads {
 		if !t.alive(now) {
 			continue
@@ -885,37 +912,51 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 			rate /= float64(n) // lane time-sharing
 		}
 		dem := t.prog.DemandAt(t.work, now)
-		if cf := m.coldFactor(t, now); cf > 1 {
+		cf, nf := m.migrationFactors(t, now)
+		if cf > 1 {
 			dem.MissRatio = math.Min(dem.MissRatio*cf, 1)
 		}
+		dom := &m.doms[m.coreDomain[t.core]]
+		t.slot = len(dom.rates)
+		dom.rates = append(dom.rates, rate)
+		dom.dems = append(dom.dems, dem)
+		dom.lats = append(dom.lats, nf)
 		active = append(active, t)
-		rates = append(rates, rate)
-		dems = append(dems, dem)
-		lats = append(lats, m.numaFactor(t, now))
 	}
-	m.scratchT, m.scratchRates, m.scratchDem, m.scratchLat = active, rates, dems, lats
+	m.scratchT = active
 
 	if len(active) == 0 {
 		return
 	}
-	if cap(m.scratchProg) < len(active) {
-		m.scratchProg = make([]float64, len(active))
-	}
-	prog := m.scratchProg[:len(active)]
-	if len(m.ctrls) == 1 {
-		// Single controller domain (the legacy machine, or a spec with
-		// SharedMem): one solve over all active threads in order.
-		offered := m.solvers[0].solve(rates, dems, lats, prog)
-		m.lastUtil = m.ctrls[0].Utilization(offered)
-	} else {
-		m.solveDomains(active, rates, dems, lats, prog)
+	// Solve each controller domain against its own controller. The
+	// reported utilisation is the hottest non-empty domain's (with one
+	// domain, simply its own).
+	m.lastUtil = 0
+	for d := range m.doms {
+		dom := &m.doms[d]
+		n := len(dom.rates)
+		if n == 0 {
+			continue
+		}
+		if cap(dom.prog) < n {
+			dom.prog = make([]float64, n)
+		}
+		dom.prog = dom.prog[:n]
+		offered := dom.solver.solve(dom.rates, dom.dems, dom.lats, dom.prog)
+		if u := dom.ctrl.Utilization(offered); len(m.doms) == 1 || u > m.lastUtil {
+			m.lastUtil = u
+		}
 	}
 
-	// Advance work, respecting per-thread remaining work and barrier
-	// limits captured at the start of the tick.
+	// Advance work in registration order, respecting per-thread remaining
+	// work and barrier limits. A barrier limit reads the members' work as
+	// it stands when the thread is reached: members registered earlier
+	// have already advanced this tick, later ones have not.
 	fdt := float64(dt)
-	for i, t := range active {
-		dw := prog[i] * fdt
+	for _, t := range active {
+		dom := &m.doms[m.coreDomain[t.core]]
+		dem := dom.dems[t.slot]
+		dw := dom.prog[t.slot] * fdt
 		limit := t.prog.TotalWork() - t.work
 		if t.barrier != nil {
 			if bl := t.barrier.limit(t, now) - t.work; bl < limit {
@@ -938,8 +979,8 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 		tc := t.ctr
 		tc.Work += dw
 		tc.Instructions += dw * 1000
-		tc.Accesses += dw * dems[i].AccessesPerWork
-		misses := dw * dems[i].MissesPerWork()
+		tc.Accesses += dw * dem.AccessesPerWork
+		misses := dw * dem.MissesPerWork()
 		tc.Misses += misses
 		cc := m.file.MutCore(int(t.core))
 		cc.ServedMisses += misses
@@ -954,56 +995,6 @@ func (m *Machine) Step(now sim.Time, dt sim.Time) {
 			if t.finishAt > now+dt {
 				t.finishAt = now + dt
 			}
-		}
-	}
-}
-
-// solveDomains runs the contention fixed point independently per memory
-// controller: active threads are partitioned by their core's controller
-// domain (preserving registration order within each domain), each
-// domain's solver runs over its own sub-slices, and the progress rates
-// are scattered back. lastUtil is the hottest controller's utilisation.
-func (m *Machine) solveDomains(active []*thread, rates []float64, dems []Demand, lats []float64, prog []float64) {
-	nd := len(m.ctrls)
-	if len(m.domIdx) < nd {
-		m.domIdx = make([][]int, nd)
-		m.domRates = make([][]float64, nd)
-		m.domDems = make([][]Demand, nd)
-		m.domLats = make([][]float64, nd)
-		m.domProg = make([][]float64, nd)
-	}
-	for d := 0; d < nd; d++ {
-		m.domIdx[d] = m.domIdx[d][:0]
-	}
-	for i, t := range active {
-		d := m.coreDomain[t.core]
-		m.domIdx[d] = append(m.domIdx[d], i)
-	}
-	m.lastUtil = 0
-	for d := 0; d < nd; d++ {
-		idx := m.domIdx[d]
-		if len(idx) == 0 {
-			continue
-		}
-		r := m.domRates[d][:0]
-		dm := m.domDems[d][:0]
-		lt := m.domLats[d][:0]
-		for _, i := range idx {
-			r = append(r, rates[i])
-			dm = append(dm, dems[i])
-			lt = append(lt, lats[i])
-		}
-		m.domRates[d], m.domDems[d], m.domLats[d] = r, dm, lt
-		if cap(m.domProg[d]) < len(idx) {
-			m.domProg[d] = make([]float64, len(idx))
-		}
-		out := m.domProg[d][:len(idx)]
-		offered := m.solvers[d].solve(r, dm, lt, out)
-		for j, i := range idx {
-			prog[i] = out[j]
-		}
-		if u := m.ctrls[d].Utilization(offered); u > m.lastUtil {
-			m.lastUtil = u
 		}
 	}
 }
@@ -1093,7 +1084,7 @@ func (m *Machine) KindDVFSLevels() []int {
 
 // NumMemDomains returns the number of independent memory controller
 // domains (1 for the legacy machine or any spec with SharedMem).
-func (m *Machine) NumMemDomains() int { return len(m.ctrls) }
+func (m *Machine) NumMemDomains() int { return len(m.doms) }
 
 // PlacementSnapshot returns the current thread→core map, sorted by thread
 // id. Used by traces and tests.

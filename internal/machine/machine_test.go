@@ -220,20 +220,24 @@ func TestColdCachePenaltyDecays(t *testing.T) {
 	slow := m.Topology().SlowCores()[0]
 	place(t, m, 0, 0, 1e6, Demand{AccessesPerWork: 10, MissRatio: 0.4}, fast)
 	th := m.byID[0]
-	if m.coldFactor(th, 0) != 1 {
+	cold := func(now sim.Time) float64 {
+		cf, _ := m.migrationFactors(th, now)
+		return cf
+	}
+	if cold(0) != 1 {
 		t.Error("unmigrated thread has cold penalty")
 	}
 	m.Migrate(0, slow, 100)
-	justAfter := m.coldFactor(th, 100)
+	justAfter := cold(100)
 	wantPeak := m.cfg.ColdMissFactor
 	if math.Abs(justAfter-wantPeak) > 1e-9 {
 		t.Errorf("cold factor at migration = %v, want %v", justAfter, wantPeak)
 	}
-	half := m.coldFactor(th, 100+sim.Time(m.cfg.ColdHalfLife))
+	half := cold(100 + sim.Time(m.cfg.ColdHalfLife))
 	if math.Abs(half-1-(wantPeak-1)/2) > 1e-9 {
 		t.Errorf("cold factor after one half-life = %v", half)
 	}
-	late := m.coldFactor(th, 100+sim.Time(20*m.cfg.ColdHalfLife))
+	late := cold(100 + sim.Time(20*m.cfg.ColdHalfLife))
 	if late > 1.001 {
 		t.Errorf("cold factor did not decay: %v", late)
 	}
@@ -247,18 +251,20 @@ func TestLocalVsRemoteMigrationPenalty(t *testing.T) {
 	place(t, m, 1, 0, 1e6, Demand{AccessesPerWork: 10, MissRatio: 0.4}, fast[2])
 	// Cross-socket move: big penalty plus NUMA latency factor.
 	m.Migrate(0, slow[0], 0)
-	if m.coldFactor(m.byID[0], 0) != m.cfg.ColdMissFactor {
+	cold, numa := m.migrationFactors(m.byID[0], 0)
+	if cold != m.cfg.ColdMissFactor {
 		t.Error("cross-socket move did not use remote penalty")
 	}
-	if m.numaFactor(m.byID[0], 0) != m.cfg.RemoteLatencyFactor {
+	if numa != m.cfg.RemoteLatencyFactor {
 		t.Error("cross-socket move did not set NUMA factor")
 	}
 	// Same-socket move: small penalty, no NUMA factor.
 	m.Migrate(1, fast[4], 0)
-	if m.coldFactor(m.byID[1], 0) != m.cfg.LocalColdFactor {
+	cold, numa = m.migrationFactors(m.byID[1], 0)
+	if cold != m.cfg.LocalColdFactor {
 		t.Error("local move did not use local penalty")
 	}
-	if m.numaFactor(m.byID[1], 0) != 1 {
+	if numa != 1 {
 		t.Error("local move set a NUMA factor")
 	}
 }
@@ -284,6 +290,49 @@ func TestBarrierGroupCouplesProgress(t *testing.T) {
 	}
 	if w0 <= w1 {
 		t.Errorf("fast thread not ahead at all: %v vs %v", w0, w1)
+	}
+}
+
+// TestBarrierLimitSeesEarlierAdvance pins the order of the work advance:
+// threads advance in registration order, and a barrier limit reads the
+// members' work as it stands when the thread is reached. Member a sits
+// half a unit below its barrier and b, a segment ahead, is held. When a
+// is registered first it reaches the barrier earlier in the same tick,
+// so b's limit already counts a in the next segment and b moves on this
+// tick; registered the other way round, b is still held.
+func TestBarrierLimitSeesEarlierAdvance(t *testing.T) {
+	const interval = 10
+	stepOnce := func(t *testing.T, aFirst bool) (aWork, bWork float64) {
+		m := testMachine(t)
+		fast := m.Topology().FastCores()
+		dem := Demand{AccessesPerWork: 1, MissRatio: 0.05}
+		a, b := platform.ThreadID(0), platform.ThreadID(1)
+		if !aFirst {
+			a, b = b, a
+		}
+		place(t, m, 0, 0, 1000, dem, fast[0])
+		place(t, m, 1, 0, 1000, dem, fast[2])
+		if err := m.AddBarrierGroup(interval, []platform.ThreadID{a, b}); err != nil {
+			t.Fatal(err)
+		}
+		m.byID[a].work = interval - 0.5
+		m.byID[b].work = interval + 5
+		m.Step(0, 1)
+		return m.byID[a].work, m.byID[b].work
+	}
+	aWork, bWork := stepOnce(t, true)
+	if aWork != interval {
+		t.Fatalf("a advanced to %v, want the barrier at %v", aWork, interval)
+	}
+	if bWork <= interval+5+1 {
+		t.Errorf("b registered after a advanced to %v; it must see a past the barrier and run a full tick", bWork)
+	}
+	aWork, bWork = stepOnce(t, false)
+	if aWork != interval {
+		t.Fatalf("a advanced to %v, want the barrier at %v", aWork, interval)
+	}
+	if bWork != interval+5 {
+		t.Errorf("b registered before a advanced to %v; it must still be held at %v", bWork, interval+5)
 	}
 }
 

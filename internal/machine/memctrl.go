@@ -1,5 +1,7 @@
 package machine
 
+import "math"
+
 // MemController models the single shared memory controller of the paper's
 // platform (Table I: one memory controller, 32 GB RAM). It is an analytic
 // queueing model: when the aggregate offered miss rate approaches the
@@ -93,7 +95,34 @@ type contentionSolver struct {
 	// being iterated and so are computed once per cold solve.
 	mpw  []float64
 	hitW []float64
+
+	stats SolveStats // every field but Ticks, which the machine counts
 }
+
+// SolveStats counts the contention solver's work. Every field is fixed
+// by the machine spec, the thread population and the tick sequence (for
+// a run: by its spec and seed), so the counts can be gated tightly; they
+// are observations and never feed a digest.
+type SolveStats struct {
+	// Ticks is the number of Step calls that advanced time.
+	Ticks int64
+	// Solves is the number of per-domain solves: one per tick for each
+	// controller domain with at least one runnable thread.
+	Solves int64
+	// MemoHits is how many solves were served from the warm-start memo.
+	MemoHits int64
+	// Saturated is how many cold solves the saturated shortcut finished.
+	Saturated int64
+	// Iterations is the number of fixed-point passes over a domain's
+	// threads, over all cold solves.
+	Iterations int64
+}
+
+// The fixed point's iteration cap and convergence tolerance.
+const (
+	solveIters = 24
+	solveTol   = 1e-9
+)
 
 // solve computes per-thread progress rates. rates[i] is the attainable
 // compute rate of active thread i; dem[i] its current demand (with any
@@ -101,11 +130,19 @@ type contentionSolver struct {
 // per-miss stall for that thread (NUMA-remote accesses after a
 // cross-socket migration). The result is written into out (len must
 // match) and the converged aggregate offered miss rate is returned.
+//
+// A cold solve iterates a damped fixed point from the uncontended
+// latency. When the controller is clamped at MaxUtil on every iteration,
+// the latency sequence does not depend on the threads at all, and the
+// saturated shortcut replaces the iterations with one pass at the
+// latency the last of them would have used (see saturatedLatency).
 func (s *contentionSolver) solve(rates []float64, dem []Demand, latMult []float64, out []float64) float64 {
 	if len(rates) != len(dem) || len(rates) != len(out) || len(rates) != len(latMult) {
 		panic("machine: contention solver length mismatch")
 	}
+	s.stats.Solves++
 	if s.memoHit(rates, dem, latMult) {
+		s.stats.MemoHits++
 		copy(out, s.memoOut)
 		return s.memoOffered
 	}
@@ -114,29 +151,26 @@ func (s *contentionSolver) solve(rates []float64, dem []Demand, latMult []float6
 		s.mpw = append(s.mpw, dem[i].MissesPerWork())
 		s.hitW = append(s.hitW, dem[i].AccessesPerWork*s.hitLat)
 	}
-	mpws, hitW := s.mpw, s.hitW
 	// Start from the uncontended latency.
 	latency := s.ctrl.Latency(0)
+	lmax := s.ctrl.Latency(math.Inf(1))
 	offered := 0.0
-	const iters = 24
-	const tol = 1e-9
-	for it := 0; it < iters; it++ {
-		offered = 0
-		for i, r := range rates {
-			if r <= 0 {
-				out[i] = 0
-				continue
-			}
-			mpw := mpws[i]
-			stallPerWork := mpw*latency*latMult[i]*(1-s.overlap) + hitW[i]
-			p := r / (1 + r*stallPerWork)
-			out[i] = p
-			offered += mpw * p
-		}
+	for it := 0; it < solveIters; it++ {
+		offered = s.pass(rates, latMult, latency, out)
 		next := s.ctrl.Latency(offered)
-		if diff := next - latency; diff < tol && diff > -tol {
-			latency = next
+		if diff := next - latency; diff < solveTol && diff > -solveTol {
 			break
+		}
+		if it == 0 && math.Float64bits(next) == math.Float64bits(lmax) && s.monotone(rates, latMult, lmax) {
+			lastLat := saturatedLatency(latency, lmax)
+			o := s.pass(rates, latMult, lastLat, out)
+			if math.Float64bits(s.ctrl.Latency(o)) == math.Float64bits(lmax) {
+				s.stats.Saturated++
+				offered = o
+				break
+			}
+			// Not clamped at the last latency: the shortcut does not
+			// apply. The next pass overwrites out, so resume the loop.
 		}
 		// Damped update for stability near saturation.
 		latency = 0.5*latency + 0.5*next
@@ -144,6 +178,69 @@ func (s *contentionSolver) solve(rates []float64, dem []Demand, latMult []float6
 	s.memoize(rates, dem, latMult, out, offered)
 	return offered
 }
+
+// pass evaluates every thread's progress at one per-miss latency,
+// writing it into out, and returns the aggregate offered miss rate.
+func (s *contentionSolver) pass(rates, latMult []float64, latency float64, out []float64) float64 {
+	s.stats.Iterations++
+	mpws, hitW := s.mpw, s.hitW
+	offered := 0.0
+	for i, r := range rates {
+		if r <= 0 {
+			out[i] = 0
+			continue
+		}
+		mpw := mpws[i]
+		stallPerWork := mpw*latency*latMult[i]*(1-s.overlap) + hitW[i]
+		p := r / (1 + r*stallPerWork)
+		out[i] = p
+		offered += mpw * p
+	}
+	return offered
+}
+
+// saturatedLatency returns the latency of the last fixed-point iteration
+// when the controller is clamped on every iteration: then each update
+// is λ ← ½λ + ½lmax, independent of the threads, so replaying that
+// scalar sequence — with the loop's tolerance break and iteration cap —
+// yields the latency of the pass whose outputs the loop would return.
+func saturatedLatency(l0, lmax float64) float64 {
+	lat := l0
+	for it := 0; it < solveIters-1; it++ {
+		if diff := lmax - lat; diff < solveTol && diff > -solveTol {
+			break
+		}
+		lat = 0.5*lat + 0.5*lmax
+	}
+	return lat
+}
+
+// monotone reports whether the saturated shortcut is exact for this
+// solve. IEEE rounding is monotone, so a pass's offered rate is
+// non-increasing in the latency, bit for bit, as long as every rate,
+// misses-per-work, hit stall and latency multiplier is finite and
+// non-negative; and the controller's latency is non-decreasing in the
+// offered rate and bounded by its clamp lmax when MaxUtil < 1 and the
+// base latency and capacity are sane. The clamped sequence rises from
+// Latency(0) toward lmax, so its last latency is its largest: if the
+// pass there is still clamped, every earlier pass was too. Inputs that
+// fail the check (NaN, ±Inf, negative) take the ordinary loop.
+func (s *contentionSolver) monotone(rates, latMult []float64, lmax float64) bool {
+	c := s.ctrl
+	if !(c.MaxUtil < 1) || !finiteNonNeg(c.BaseLatency) || !finiteNonNeg(lmax) ||
+		math.IsNaN(c.Capacity) || math.IsInf(c.Capacity, 1) || !finiteNonNeg(1-s.overlap) {
+		return false
+	}
+	for i, r := range rates {
+		if !finiteNonNeg(r) || !finiteNonNeg(s.mpw[i]) || !finiteNonNeg(s.hitW[i]) || !finiteNonNeg(latMult[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// finiteNonNeg reports 0 <= x < +Inf (false for NaN).
+func finiteNonNeg(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 // memoHit reports whether the inputs are bit-identical to the previous
 // call's. NaN inputs never hit (NaN != NaN), which is the conservative

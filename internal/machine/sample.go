@@ -22,9 +22,9 @@ type sampler struct {
 // the largest controller bounds any single domain's throughput.)
 func (m *Machine) MemCapacity() float64 {
 	best := 0.0
-	for _, c := range m.ctrls {
-		if c.Capacity > best {
-			best = c.Capacity
+	for d := range m.doms {
+		if c := m.doms[d].ctrl.Capacity; c > best {
+			best = c
 		}
 	}
 	return best

@@ -245,6 +245,73 @@ func bigMachineSpec() *platform.MachineSpec {
 // TestBigMachineDeterminism simulates the 1024-core, 4-socket,
 // 4-core-type machine end to end twice and requires bit-identical
 // results: same finish time for every thread, same utilisation.
+// domainUtilizations re-solves each controller domain's inputs from the
+// last Step on a fresh solver and returns MemController.Utilization of
+// each non-empty domain's offered rate.
+func domainUtilizations(m *Machine) []float64 {
+	var utils []float64
+	for d := range m.doms {
+		dom := &m.doms[d]
+		if len(dom.rates) == 0 {
+			continue
+		}
+		s := contentionSolver{ctrl: &dom.ctrl, overlap: m.cfg.Overlap, hitLat: m.cfg.LLCHitLatency}
+		out := make([]float64, len(dom.rates))
+		utils = append(utils, dom.ctrl.Utilization(s.solve(dom.rates, dom.dems, dom.lats, out)))
+	}
+	return utils
+}
+
+// TestUtilizationIsHottestDomain pins Machine.Utilization on a
+// split-controller machine: the hottest domain's utilisation, not a sum
+// or an average.
+func TestUtilizationIsHottestDomain(t *testing.T) {
+	m, err := New(specConfig(twoSocketSpec()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sock0, sock1 []platform.CoreID
+	for _, c := range m.Topology().Cores() {
+		if c.Socket == 0 {
+			sock0 = append(sock0, c.ID)
+		} else {
+			sock1 = append(sock1, c.ID)
+		}
+	}
+	heavy := Demand{AccessesPerWork: 4, MissRatio: 0.3}
+	light := Demand{AccessesPerWork: 1, MissRatio: 0.05}
+	// The busy domain is the second one, so the max is not simply the
+	// first domain's value.
+	place(t, m, 0, 0, 1e6, light, sock0[0])
+	place(t, m, 1, 0, 1e6, heavy, sock1[0])
+	place(t, m, 2, 0, 1e6, heavy, sock1[1])
+	m.Step(0, 1)
+	utils := domainUtilizations(m)
+	if len(utils) != 2 || !(utils[1] > utils[0]) {
+		t.Fatalf("per-domain utilisations %v: want two, the second hotter", utils)
+	}
+	if got := m.Utilization(); got != max(utils[0], utils[1]) {
+		t.Errorf("Utilization() = %v, want the hottest domain's %v", got, max(utils[0], utils[1]))
+	}
+}
+
+// TestUtilizationSingleDomain pins Machine.Utilization on a one-domain
+// machine: that domain's utilisation.
+func TestUtilizationSingleDomain(t *testing.T) {
+	m := testMachine(t)
+	fast := m.Topology().FastCores()
+	place(t, m, 0, 0, 1e6, Demand{AccessesPerWork: 4, MissRatio: 0.3}, fast[0])
+	place(t, m, 1, 0, 1e6, Demand{AccessesPerWork: 1, MissRatio: 0.05}, fast[2])
+	m.Step(0, 1)
+	utils := domainUtilizations(m)
+	if len(utils) != 1 {
+		t.Fatalf("per-domain utilisations %v: want one", utils)
+	}
+	if got := m.Utilization(); got != utils[0] || got <= 0 {
+		t.Errorf("Utilization() = %v, want the domain's %v", got, utils[0])
+	}
+}
+
 func TestBigMachineDeterminism(t *testing.T) {
 	if got := bigMachineSpec().TotalLogical(); got != 1024 {
 		t.Fatalf("spec has %d logical cores, want 1024", got)
